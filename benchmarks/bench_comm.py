@@ -17,7 +17,7 @@ schedule at the Figure-8 round budget — runs under three codecs:
   the certified bound ε_comm/(1−α).
 
 A second case folds in the suppression-threshold ablation (the
-``send_threshold`` knob, predating the codec): more suppression must
+``suppress_tol`` knob, predating the codec): more suppression must
 weakly reduce messages, and mild suppression must not destroy
 accuracy.
 
@@ -169,7 +169,7 @@ def test_codec_reduction_100k():
 
 def test_suppression_ablation(scale, save_result):
     """Folded from the former bench_compression.py: the paper's
-    future-work item measured with the plain ``send_threshold`` knob
+    future-work item measured with the plain ``suppress_tol`` knob
     (no codec), unchanged semantics."""
     graph = default_graph(scale)
     result = run_compression_ablation(

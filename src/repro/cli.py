@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         "below ε_comm / (1 - alpha)",
     )
     g_comp.add_argument(
-        "--send-threshold", type=_non_negative_float, default=0.0,
+        "--suppress-tol", type=_non_negative_float, default=0.0,
         help="skip sending an efferent vector whose L1 change since "
         "the last send is at or below this threshold (0 disables; "
         "mutually exclusive with --codec)",
@@ -579,7 +579,7 @@ def cmd_run(args) -> int:
             recovery=args.recovery,
             codec=args.codec,
             comm_epsilon=args.comm_epsilon,
-            send_threshold=args.send_threshold,
+            suppress_tol=args.suppress_tol,
             target_relative_error=args.target,
             max_time=args.max_time,
         )

@@ -74,7 +74,7 @@ class DistributedConfig:
     #: whole-system block SpMVs with analytically accounted traffic
     #: (see :mod:`repro.core.engine`).  Under the synchronous schedule
     #: the two produce bit-identical ranks and identical traffic.
-    #: "hybrid" keeps the flat kernels but runs the fault-tolerance
+    #: "hybrid" is the same round engine with the fault-tolerance
     #: stack (ARQ, churn, heartbeat, checkpoint/recovery) and the
     #: async schedule on a persistent event-simulated fault plane
     #: (see :mod:`repro.core.hybrid`); a "flat" request that needs
@@ -109,15 +109,12 @@ class DistributedConfig:
     x_mode: str = "exact"
     hop_delay: float = 0.5
     aggregation_delay: float = 0.25
+    #: Delta-suppression threshold (the compression ablation): skip
+    #: sending a pair's efferent vector when it moved less than this
+    #: in L1 since the last send; 0 sends every round.  Mutually
+    #: exclusive with a wire codec, whose budgeted suppression
+    #: subsumes this ad-hoc rule.
     suppress_tol: float = 0.0
-    #: Canonical name for the delta-suppression threshold (promoted
-    #: from the compression ablation): skip sending a pair's efferent
-    #: vector when it moved less than this in L1 since the last send.
-    #: Writes through to ``suppress_tol`` (the historical field, kept
-    #: for compatibility); setting both to different values is an
-    #: error.  Mutually exclusive with a wire codec, whose budgeted
-    #: suppression subsumes this ad-hoc rule.
-    send_threshold: float = 0.0
     #: Wire codec for cross-group score updates: "none" (paper byte
     #: model, the default), "delta" (varint index gaps + float32
     #: deltas), or "delta-q16" (float16 deltas).  See
@@ -241,24 +238,7 @@ class DistributedConfig:
                 "the sync schedule derives one common wait from (t1+t2)/2; "
                 "explicit mean_waits are only meaningful under schedule='async'"
             )
-        # Promote the canonical send_threshold name into the historical
-        # suppress_tol field (and mirror back) before any feature
-        # predicate reads it.
-        check_non_negative(self.send_threshold, "send_threshold")
         check_non_negative(self.suppress_tol, "suppress_tol")
-        if self.send_threshold > 0.0:
-            if (
-                self.suppress_tol > 0.0
-                and self.suppress_tol != self.send_threshold
-            ):
-                raise ValueError(
-                    "send_threshold and suppress_tol name the same knob; "
-                    f"got conflicting values {self.send_threshold!r} and "
-                    f"{self.suppress_tol!r}"
-                )
-            self.suppress_tol = self.send_threshold
-        else:
-            self.send_threshold = self.suppress_tol
         # Default-on fast-path dispatch: a "flat" request whose config
         # needs faults or the async schedule resolves to the hybrid
         # engine (which runs those features on a persistent fault
@@ -324,7 +304,7 @@ class DistributedConfig:
                 )
             if self.suppress_tol > 0.0:
                 raise ValueError(
-                    "send_threshold/suppress_tol and a wire codec are "
+                    "suppress_tol and a wire codec are "
                     "mutually exclusive: the codec's ε_comm budget "
                     "subsumes ad-hoc threshold suppression"
                 )
@@ -420,14 +400,16 @@ class RunResult:
         (bit-identical to the event engine on the same config) or
         ``"approximate"`` (documented-tolerance equivalence — compare
         ``final_relative_error`` against the tolerance in DESIGN.md
-        §13).  The hybrid engine reports ``"exact"`` when the config
-        let it run the pure flat path and ``"approximate"`` when the
-        fault plane or async schedule was engaged.
+        §13).  The flat/hybrid round engine reports ``"exact"`` on
+        sync fault-free configs and ``"approximate"`` when the fault
+        plane, suppression or the async schedule was engaged.
     fast_rounds, replayed_rounds:
-        Hybrid round-split counters: rounds executed purely as flat
-        sparse kernels vs. rounds whose messaging was replayed through
-        the persistent event-simulated fault plane.  Both zero for the
-        other engines.
+        Round-split counters of the flat/hybrid round engine: rounds
+        of an exact config vs. rounds of an approximate one (fault
+        plane, suppression or async schedule).  Flat runs count their
+        rounds in ``fast_rounds`` (before the two engines became one
+        class it read 0 for them).  Both zero for the event and mc
+        engines.
     codec_stats:
         Wire-codec session counters (``None`` when ``codec="none"``):
         frames shipped / suppressed / exact-flushed, entries sent, the
@@ -497,13 +479,12 @@ def assemble_run_result(
     """Build a :class:`RunResult` from one finished run's pieces.
 
     This is the single reporting path shared by the event engine
-    (:class:`DistributedRun`) and the flat engine
-    (:class:`~repro.core.engine.SynchronousEngine`): the traffic
-    snapshot is taken here, from the one :class:`TrafficAccountant`
-    both engines feed, so reported totals always come out of the same
-    counter arithmetic.  Reliability/fault counters that an engine
-    does not track (the flat engine runs failure-free) default to 0
-    via ``counters``.
+    (:class:`DistributedRun`) and the round engines
+    (:mod:`repro.core.engine`): the traffic snapshot is taken here,
+    from the one :class:`TrafficAccountant` every engine feeds, so
+    reported totals always come out of the same counter arithmetic.
+    Reliability/fault counters that a run does not track (no fault
+    plane) default to 0 via ``counters``.
     """
     return RunResult(
         ranks=ranks,
@@ -892,12 +873,7 @@ def run_distributed_pagerank(
         # Imported lazily: the engine modules import coordinator types.
         from repro.core.engine import MonteCarloEngine, SynchronousEngine
 
-        if config.engine == "hybrid":
-            from repro.core.hybrid import HybridEngine
-
-            cls = HybridEngine
-        else:
-            cls = SynchronousEngine if config.engine == "flat" else MonteCarloEngine
+        cls = MonteCarloEngine if config.engine == "mc" else SynchronousEngine
         return cls(
             graph, config, partition=partition, reference=reference
         ).run(

@@ -1,71 +1,75 @@
-"""Vectorized bulk-synchronous execution engine (the "flat" engine).
+"""The round engines: one bulk-synchronous loop for ``flat`` and ``hybrid``.
 
 The event engine (:class:`~repro.core.coordinator.DistributedRun`)
 replays every score update as a simulator event: one Python object per
 (source, destination) pair per outer loop, one heap operation per
-delivery, one ``DPRNode.receive`` per update.  That faithfully models
-the paper's asynchronous timing, but when the *schedule* is
-synchronous — every ranker ticking at the same fixed period — the
-per-message machinery computes exactly one bulk-synchronous round per
-tick, and the whole round collapses into dense linear algebra:
+delivery, one ``DPRNode.receive`` per update.  The paper's DPR1/DPR2
+(§4.2) are one outer loop — compute, emit Y, deliver — and when every
+ranker ticks on a common round grid that loop collapses into sparse
+linear algebra.  :class:`SynchronousEngine` runs it, for both
+``engine="flat"`` and ``engine="hybrid"``.  Each round at tick ``t``
+does four things in order:
 
-* **compute** — all K in-group operators ``A_G`` are assembled once
-  into a single block-diagonal CSR, so a DPR2 outer loop over the
-  entire system is *one* SpMV over the concatenated rank vector (plus
-  one fused add/delta pass); DPR1 runs the same per-group warm-started
-  Jacobi solves as the event engine, sharing its
-  :class:`~repro.linalg.jacobi.JacobiWorkspace` kernels;
-* **communicate** — all stacked per-group efferent operators are
-  assembled once into a single whole-system *cut matrix*, compressed
-  to its structurally nonzero rows, so every efferent vector ``Y`` of
-  the round is one more SpMV over exactly the cross-link elements; at
-  ``delivery_prob = 1`` delivery + afferent refresh then collapse into
-  a third SpMV ``X = F·Y`` against a 0/1 *afferent matrix* whose
-  per-row storage order replays the observed arrival order;
-* **account** — instead of materializing ScoreUpdate objects, the
-  engine replays one *calibration round* of empty-payload sends
-  through the real transport classes on a scratch simulator.  That
-  yields (a) the exact per-round traffic, merged into the main
-  :class:`~repro.net.bandwidth.TrafficAccountant` each round via
-  :meth:`~repro.net.bandwidth.TrafficAccountant.merge`, and (b) the
-  exact delivery order, which fixes the afferent summation order (see
-  below).  At ``delivery_prob = 1`` the calibration runs once for the
-  whole run; under loss it is replayed per round over the surviving
-  pairs (cost proportional to K², independent of page count).
+1. **advance the fault plane** (only when the config has one — see
+   :mod:`repro.core.hybrid`): crashes, pauses, heartbeat sweeps,
+   checkpoints, takeovers, retransmissions and in-flight deliveries up
+   to ``t`` land on the same timeline the event engine would use;
+2. **pick the groups that step**: all of them, unless the async rate
+   credit, a pause or a crash masks some;
+3. **compute**: one per-group loop mirroring
+   :meth:`repro.core.dpr.DPRNode.step` (a DPR2 sweep or a warm-started
+   DPR1 Jacobi solve, sharing one
+   :class:`~repro.linalg.jacobi.JacobiWorkspace`), then one SpMV of
+   the whole-system *cut matrix* — every group's stacked efferent
+   operator, compressed to its structurally nonzero rows — yielding
+   every efferent vector ``Y`` of the round;
+4. **deliver** through one pipeline: the round's sends are built once,
+   in emission order (suppression, then codec encode, then the loss
+   draw), and handed to one of four back-ends fixed at construction:
+
+   * the *calibrated SpMV* (sync, lossless, uncoded, unfaulted): the
+     round's traffic is one cached calibration replay merged into the
+     main accountant, and delivery plus afferent refresh are one SpMV
+     ``X = F·Y`` against a 0/1 afferent matrix whose per-row storage
+     order replays the calibrated arrival order;
+   * *scratch replay*: the surviving sends are routed through the real
+     transport classes on a fresh simulator (cost proportional to the
+     sends, independent of page count), and the segments apply in the
+     observed delivery order;
+   * *ARQ replay* (reliable + direct): each send's whole ARQ
+     conversation resolves at its sending round
+     (:class:`~repro.core.hybrid._ReplayARQ`);
+   * the fault plane's *live transport*: real update objects through
+     the real (optionally reliable) transport on the persistent
+     simulator.
 
 Bit-identity
 ------------
-The engine is not approximately equivalent to the event engine under
-the synchronous schedule — it is **bit-identical**, which the
+On synchronous fault-free configs the engine is not approximately
+equivalent to the event engine — it is **bit-identical**, which the
 equivalence tests assert.  The reasoning:
 
-* block-diagonal SpMV: each output row's dot product runs over the
-  same stored values in the same order as the per-block SpMV, so IEEE
-  non-associativity never enters;
-* the cut-matrix SpMV likewise reproduces each group's stacked
-  efferent product row for row; dropping the cut matrix's structurally
-  *empty* rows is exact because every score is nonnegative, so the
-  event engine's adds of those always-``+0.0`` elements
-  (``x + 0.0 == x`` bitwise for ``x ≥ +0.0``) never change a single
-  bit of any afferent sum;
-* afferent sums: a :class:`~repro.core.dpr.DPRNode` re-sums its
-  newest per-source vectors in *first-arrival order* (dict insertion
-  order).  Under loss the engine keeps the same insertion-ordered
-  dict per destination, appending sources in the delivery order
-  observed on the calibration replay — the same order the event
-  simulator produces, since both route through identical transports.
-  At ``delivery_prob = 1`` every source re-arrives every round, so the
-  whole refresh is one SpMV ``X = F·Y``: scipy's CSR kernel
-  accumulates each output row over its stored entries *in storage
-  order*, and ``F``'s rows are laid out in exactly the arrival order,
-  so the scalar additions happen in the same sequence the node's
-  vector adds produce;
+* per-group kernels run the same operators over the same stored values
+  as ``DPRNode.step``, so IEEE non-associativity never enters;
+* the cut-matrix SpMV reproduces each group's stacked efferent product
+  row for row; dropping the cut matrix's structurally *empty* rows is
+  exact because every score is nonnegative, so the event engine's adds
+  of those always-``+0.0`` elements (``x + 0.0 == x`` bitwise for
+  ``x ≥ +0.0``) never change a single bit of any afferent sum;
+* afferent sums: a :class:`~repro.core.dpr.DPRNode` re-sums its newest
+  per-source vectors in *first-arrival order* (dict insertion order).
+  The replay back-ends keep the same insertion-ordered dict per
+  destination, appending sources in the delivery order the real
+  transports produce.  On the calibrated-SpMV back-end every source
+  re-arrives every round, and scipy's CSR kernel accumulates each
+  output row over its stored entries *in storage order*, which ``F``
+  lays out in arrival order;
 * loss draws: the Bernoulli stream is consumed in (source group
   ascending, destination ascending) order, exactly the order rankers
   tick and emit in a synchronous event round.
 
-Use ``DistributedConfig(engine="flat")`` (CLI ``--engine flat``) to
-select it end to end; results come back as the same
+Faulted, suppressed or async runs report ``fidelity="approximate"``;
+DESIGN.md §13 documents that contract.  Results come back as the same
 :class:`~repro.core.coordinator.RunResult` via the shared
 :func:`~repro.core.coordinator.assemble_run_result` reporting path.
 """
@@ -73,11 +77,13 @@ select it end to end; results come back as the same
 from __future__ import annotations
 
 import math
+from itertools import groupby
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
+from repro.core.capabilities import requested_features
 from repro.core.convergence import ConvergenceTrace
 from repro.core.coordinator import (
     DistributedConfig,
@@ -94,7 +100,7 @@ from repro.net.bandwidth import TrafficAccountant
 from repro.net.failures import BernoulliLoss, NoLoss
 from repro.net.latency import FixedLatency
 from repro.net.codec import token_frame_bytes
-from repro.net.message import ScoreUpdate
+from repro.net.message import LINK_RECORD_BYTES, ScoreUpdate
 from repro.net.simulator import Simulator
 from repro.net.transport import build_transport
 from repro.overlay import build_overlay
@@ -107,31 +113,33 @@ __all__ = ["MonteCarloEngine", "SynchronousEngine"]
 #: transports only read routing metadata and ``n_link_records``.
 _EMPTY = np.empty(0, dtype=np.float64)
 
+#: Config features that need the event-simulated fault plane.
+_PLANE_FEATURES = frozenset(
+    {"reliable", "pause", "crash", "heartbeat", "checkpoint", "recovery"}
+)
+
 
 def _replay_transport_round(
     config: DistributedConfig,
     overlay,
-    sends: List[Tuple[int, int, int]],
+    sends: List[Tuple],
 ) -> Tuple[List[Tuple[int, int]], TrafficAccountant]:
     """Route one round's sends through the real transport stack.
 
-    ``sends`` lists ``(src_group, dst_group, n_records)`` triples in
-    emission order (sources ascending, destinations ascending within a
-    source — the order rankers tick and emit in a synchronous round).
-    A send may carry an optional fourth element: the encoded frame's
-    calibrated wire size, stamped onto the replay update's
-    ``wire_bytes`` so the transports charge the codec's bytes as data
-    while the paper-model counter keeps the flat 100 B/record charge
-    (see :mod:`repro.net.bandwidth`).
+    Each send starts ``(src_group, dst_group, n_records, wire_bytes)``
+    (later elements are ignored), in emission order: sources
+    ascending, destinations ascending within a source — the order
+    rankers tick and emit in a synchronous round.  ``wire_bytes`` is
+    the encoded frame's calibrated size, or -1 for the paper's flat
+    100 B/record charge (see :mod:`repro.net.bandwidth`).
     Returns the delivery order as (src, dst) in upcall sequence and a
     scratch accountant holding the round's exact traffic.  Updates are
     empty-payload (byte accounting only reads ``n_link_records``) on a
     fresh simulator, so the cost is O(sends) regardless of page count.
 
-    Shared by the flat engine (fixed per-round record counts from the
-    cross blocks, plus per-round frame sizes under a codec) and the
-    Monte-Carlo engine (per-round walk-token counts, a different
-    number every round).
+    Shared by :class:`SynchronousEngine` (cut-block record counts, per
+    round frame sizes under a codec) and :class:`MonteCarloEngine`
+    (per-round walk-token counts, a different number every round).
     """
     sim = Simulator()
     acc = TrafficAccountant(config.n_groups)
@@ -151,36 +159,245 @@ def _replay_transport_round(
     transport.attach(
         lambda dst, update: order.append((update.src_group, dst))
     )
-    i = 0
-    n = len(sends)
-    while i < n:
-        g = sends[i][0]
-        updates = []
-        while i < n and sends[i][0] == g:
-            send = sends[i]
-            updates.append(
+    for g, group in groupby(sends, key=lambda send: send[0]):
+        transport.send_updates(
+            g,
+            [
                 ScoreUpdate(
                     src_group=g,
                     dst_group=send[1],
                     values=_EMPTY,
                     n_link_records=send[2],
                     generation=0,
-                    wire_bytes=send[3] if len(send) > 3 else -1,
+                    wire_bytes=send[3],
                 )
-            )
-            i += 1
-        transport.send_updates(g, updates)
+                for send in group
+            ],
+        )
     sim.run()
     return order, acc
 
 
-class SynchronousEngine:
-    """Whole-system block-SpMV runner for failure-free synchronous runs.
+class _RoundEngine:
+    """Construction, run loop and §4.4 estimate shared by the round engines.
+
+    Builds the partition, overlay and accountant from the same named
+    seed streams as the event engine.  Subclasses provide
+    ``reference``, the hooks :meth:`_round`, :meth:`_observe`,
+    :meth:`_progress`, :meth:`_quiet_now` and :meth:`_result_fields`
+    (optionally :meth:`_exhausted`), and a public ``run`` that calls
+    :meth:`_run_rounds` — defined on each engine class so that it can
+    be timed per class from outside (perfbench's tracer wraps
+    ``SynchronousEngine.run``).
+    """
+
+    def __init__(
+        self,
+        graph: WebGraph,
+        config: DistributedConfig,
+        partition: Optional[Partition],
+        seeds: SeedSequenceFactory,
+    ):
+        self.graph = graph
+        self.config = config
+        self.partition = (
+            partition
+            if partition is not None
+            else make_partition(
+                graph,
+                config.n_groups,
+                config.partition_strategy,
+                seed=seeds.seed("partition"),
+            )
+        )
+        if self.partition.n_groups != config.n_groups:
+            raise ValueError("partition n_groups disagrees with config")
+        self.overlay = build_overlay(
+            config.overlay, config.n_groups, seed=seeds.seed("overlay") % (2**31)
+        )
+        self.accountant = TrafficAccountant(config.n_groups)
+        #: Updates suppressed by the loss model (same meaning as the
+        #: transports' counter of the same name).
+        self.dropped_updates = 0
+        #: Common tick period of the synchronous schedule.
+        self.period = max(0.5 * (config.t1 + config.t2), MIN_MEAN_WAIT)
+
+    @property
+    def n_groups(self) -> int:
+        """Number of page groups (the paper's K)."""
+        return self.config.n_groups
+
+    def _exhausted(self) -> bool:
+        """True once further rounds cannot change the estimate."""
+        return False
+
+    def _paper_estimate(self, w: float, pairs) -> Dict[str, float]:
+        """Evaluate the §4.4 formulas for ``w`` records over ``pairs``.
+
+        h is the mean overlay hop count over the communicating
+        ``pairs``, g the overlay's mean neighbor count, N the ranker
+        count (see :mod:`repro.analysis.cost_model`).
+        """
+        from repro.analysis.cost_model import (
+            direct_data_bytes,
+            direct_messages,
+            indirect_data_bytes,
+            indirect_messages,
+        )
+
+        k = self.config.n_groups
+        hop_counts = [self.overlay.hops(g, h) for g, h in pairs]
+        h_mean = float(np.mean(hop_counts)) if hop_counts else 0.0
+        if self.config.transport == "indirect":
+            return {
+                "data_messages": indirect_messages(
+                    k, self.overlay.mean_neighbor_count()
+                ),
+                "data_bytes": indirect_data_bytes(w, h_mean),
+            }
+        return {
+            "data_messages": direct_messages(k, h_mean),
+            "data_bytes": direct_data_bytes(w, h_mean, k),
+        }
+
+    def _run_rounds(
+        self,
+        max_time: float,
+        target_relative_error: Optional[float],
+        quiescence_delta: Optional[float],
+        quiescence_samples: int,
+    ) -> RunResult:
+        """The run loop behind every round engine's :meth:`run`.
+
+        Tick ``m`` runs at simulated time ``m × period`` (the exact
+        float sequence the event engine's fixed waits produce), and a
+        sample lands on every ``m``-th tick where
+        ``sample_interval = m × period`` (config validation guarantees
+        the whole-multiple ratio).  The sampling order replicates the
+        event engine's :class:`~repro.core.convergence.Monitor`, whose
+        sample at a tick always executes *before* that tick's ranker
+        wakes (its event was scheduled a full interval earlier, so it
+        carries the lower sequence number): the sample at tick ``m``
+        therefore observes the rounds completed *before* it, and when
+        it trips a stop condition the tick's round is never computed —
+        exactly as the event simulator halts before processing the
+        remaining same-time wakes.  The sample clock accumulates
+        ``sample_interval`` separately from the tick clock (mirroring
+        the monitor's relative rescheduling) so trace timestamps are
+        bit-identical too; a drift between the two raises.  Stop
+        conditions mirror the monitor: target relative error,
+        quiescence (every group's last step delta at or below
+        ``quiescence_delta`` for ``quiescence_samples`` consecutive
+        samples), ``max_time``, or the engine reporting at a sample
+        that further rounds cannot change its estimate.
+        """
+        cfg = self.config
+        trace = ConvergenceTrace()
+        converged = False
+        target_time: Optional[float] = None
+        quiescent = False
+        quiescence_time: Optional[float] = None
+        quiet_streak = 0
+
+        # Sampling reuses one n-page buffer and the cached reference
+        # norm so a long run allocates nothing per sample.  The error
+        # below performs the exact subtract/abs/sum/divide sequence of
+        # relative_l1_error (l1_norm(x - ref) / l1_norm(ref)), so the
+        # recorded values are bit-identical to the event engine's; the
+        # mean is taken before the in-place subtract clobbers ranks.
+        ranks_buf = np.empty(self.graph.n_pages, dtype=np.float64)
+        denom = l1_norm(self.reference)
+
+        def sample(t: float) -> bool:
+            """Record one trace point; True when the run should stop."""
+            nonlocal converged, target_time, quiescent, quiescence_time, quiet_streak
+            ranks = self._observe(ranks_buf, t)
+            mean_rank = float(ranks.mean()) if ranks.size else 0.0
+            np.subtract(ranks, self.reference, out=ranks)
+            np.abs(ranks, out=ranks)
+            num = float(ranks.sum())
+            if denom == 0.0:
+                err = 0.0 if num == 0.0 else math.inf
+            else:
+                err = num / denom
+            trace.times.append(t)
+            trace.relative_errors.append(err)
+            trace.mean_ranks.append(mean_rank)
+            max_outer, mean_outer = self._progress()
+            trace.max_outer_iterations.append(max_outer)
+            trace.mean_outer_iterations.append(mean_outer)
+            snap = self.accountant.snapshot(t)
+            trace.total_messages.append(snap.total_messages)
+            trace.total_bytes.append(snap.total_bytes)
+            if (
+                target_relative_error is not None
+                and err <= target_relative_error
+                and not converged
+            ):
+                converged = True
+                target_time = t
+            if quiescence_delta is not None and not quiescent:
+                quiet = self._quiet_now(quiescence_delta)
+                quiet_streak = quiet_streak + 1 if quiet else 0
+                if quiet_streak >= quiescence_samples:
+                    quiescent = True
+                    quiescence_time = t
+            return converged or quiescent or self._exhausted()
+
+        interval = float(cfg.sample_interval)
+        every = int(round(interval / self.period))
+
+        stop = sample(0.0)
+        t = 0.0  # tick clock: accumulates the period like ranker waits
+        t_s = 0.0  # sample clock: accumulates the monitor's interval
+        k = 0
+        while not stop:
+            t_next = t + self.period
+            if t_next > max_time:
+                t = float(max_time)
+                break
+            t = t_next
+            k += 1
+            if k % every == 0:
+                t_s = t_s + interval
+                if t_s != t:
+                    raise ValueError(
+                        f"sample clock drifted from the tick clock "
+                        f"({t_s!r} vs {t!r}): sample_interval and the "
+                        "period accumulate differently in float "
+                        "arithmetic; pick exactly representable values"
+                    )
+                if sample(t_s):
+                    break
+            self._round(t)
+
+        # The sample buffer is dead after the loop, so the final
+        # observation fills it and hands it to the result outright.
+        ranks = self._observe(ranks_buf, t)
+        return assemble_run_result(
+            ranks=ranks,
+            reference=self.reference,
+            trace=trace,
+            converged=converged,
+            time_to_target=target_time,
+            accountant=self.accountant,
+            now=t,
+            quiescent=quiescent,
+            quiescence_time=quiescence_time,
+            config=cfg,
+            **self._result_fields(t),
+        )
+
+
+class SynchronousEngine(_RoundEngine):
+    """Round engine behind ``engine="flat"`` and ``engine="hybrid"``.
 
     Construction mirrors :class:`~repro.core.coordinator.DistributedRun`
     (same partition, overlay, and loss streams from the same named
-    seeds), then flattens the K per-group operators into two global
-    matrices.  :meth:`run` executes ticks at the common period
+    seeds), flattens the K per-group cut operators into one global cut
+    matrix, builds the fault plane when the config asks for faults,
+    and fixes the delivery back-end (see the module docstring).
+    :meth:`run` executes rounds at the common period
     ``max((t1+t2)/2, MIN_MEAN_WAIT)`` until ``max_time``, a target
     error, or quiescence — the same stop conditions the event engine's
     monitor applies.
@@ -188,9 +405,9 @@ class SynchronousEngine:
     Parameters
     ----------
     graph, config:
-        The crawl and the experiment parameters.  The config must
-        satisfy the ``engine="flat"`` restrictions (failure-free:
-        no reliability layer, churn, or delta suppression).
+        The crawl and the experiment parameters (``engine`` "flat" or
+        "hybrid"; the capability table decides which knobs each
+        accepts).
     partition, reference:
         Optional precomputed partition / centralized solution, exactly
         as accepted by ``DistributedRun``.
@@ -204,23 +421,8 @@ class SynchronousEngine:
         partition: Optional[Partition] = None,
         reference: Optional[np.ndarray] = None,
     ):
-        self.graph = graph
-        self.config = config
         seeds = SeedSequenceFactory(config.seed)
-
-        self.partition = (
-            partition
-            if partition is not None
-            else make_partition(
-                graph,
-                config.n_groups,
-                config.partition_strategy,
-                seed=seeds.seed("partition"),
-            )
-        )
-        if self.partition.n_groups != config.n_groups:
-            raise ValueError("partition n_groups disagrees with config")
-
+        super().__init__(graph, config, partition, seeds)
         self.system = GroupSystem(
             graph, self.partition, alpha=config.alpha, e=config.e
         )
@@ -229,19 +431,11 @@ class SynchronousEngine:
             if reference is not None
             else self.system.solve_exact()
         )
-
-        self.overlay = build_overlay(
-            config.overlay, config.n_groups, seed=seeds.seed("overlay") % (2**31)
-        )
-        self.accountant = TrafficAccountant(config.n_groups)
         self._loss = (
             NoLoss()
             if config.delivery_prob >= 1.0
             else BernoulliLoss(config.delivery_prob, seed=seeds.generator("loss"))
         )
-        #: Updates suppressed by the loss model (same meaning as the
-        #: transports' counter of the same name).
-        self.dropped_updates = 0
 
         k = config.n_groups
         blocks = self.system.blocks
@@ -250,13 +444,6 @@ class SynchronousEngine:
         self._slices = [slice(int(offsets[g]), int(offsets[g + 1])) for g in range(k)]
         n_total = int(offsets[-1])
 
-        # One block-diagonal CSR for every in-group operator: row i of
-        # group g's block becomes global row offset[g]+i with the same
-        # stored values in the same order, so SpMV results match the
-        # per-block products bit for bit.  Only the dpr2 sweep uses
-        # it, and it duplicates every diag block — build lazily so
-        # dpr1 runs (the out-of-core default) never pay the copy.
-        self._a_all_cache: Optional[sp.csr_matrix] = None
         # One whole-system cut matrix: conceptually the block-diagonal
         # stack of every group's stacked efferent operator, compressed
         # to its structurally nonzero rows.  A dense efferent segment's
@@ -323,12 +510,16 @@ class SynchronousEngine:
             ),
             shape=(n_nz, n_total),
         )
-        self._pair_cslice: Dict[Tuple[int, int], slice] = {
-            (g, h): csl for g, h, csl, _, _ in self._pairs
-        }
         self._pair_idx: Dict[Tuple[int, int], np.ndarray] = {
             (g, h): idx for g, h, _, idx, _ in self._pairs
         }
+        #: Per-source sends ``(dst, compressed slice, index map,
+        #: records)``, destinations ascending (the emission order).
+        self._pairs_by_src: List[List[Tuple[int, slice, np.ndarray, int]]] = [
+            [] for _ in range(k)
+        ]
+        for g, h, csl, idx, records in self._pairs:
+            self._pairs_by_src[g].append((h, csl, idx, records))
         self._offsets = offsets
         # The cut matrix and pair tables above are the last copies the
         # engine needs of the cross-link structure; every later step
@@ -336,18 +527,10 @@ class SynchronousEngine:
         # result assembly) works off them and the diagonal blocks.
         blocks.release_cross()
 
-        # Mutable round state.
+        # Round state.  Group g's f = βE + X is assembled into one
+        # shared max-group-size buffer right before its step.
         self._r = np.zeros(n_total, dtype=np.float64)
-        # dpr2's sweep ping-pong buffers — allocated on first dpr2
-        # round so dpr1 runs never carry the two extra n-vectors.
-        self._ping: Optional[np.ndarray] = None
-        self._scratch: Optional[np.ndarray] = None
         self._x = np.zeros(n_total, dtype=np.float64)
-        # Whole-system f = βE + X is only materialized by dpr2's global
-        # sweep; dpr1 assembles each group's f into one shared
-        # max-group-size buffer right before its solve (same
-        # elementwise add over the same slices, so same bits).
-        self._f: Optional[np.ndarray] = None
         self._fbuf = np.empty(max(sizes) if sizes else 0, dtype=np.float64)
         self._y = np.zeros(n_nz, dtype=np.float64)
         # βE segment by segment straight from e_full — same products,
@@ -362,13 +545,12 @@ class SynchronousEngine:
             )
         #: Newest afferent vector (compressed to its nonzero elements)
         #: per source, per destination group — insertion-ordered
-        #: exactly like ``DPRNode._latest_values``.  Used only under
-        #: loss; the lossless path goes through :attr:`_afferent`.
+        #: exactly like ``DPRNode._latest_values`` — and its
+        #: generation.  The replay back-ends fill them; the calibrated
+        #: SpMV back-end writes X directly.
         self._latest: List[Dict[int, np.ndarray]] = [{} for _ in range(k)]
-        #: 0/1 afferent matrix for the lossless fast path (X = F·Y),
-        #: built lazily from the first calibration's arrival order.
-        self._afferent: Optional[sp.csr_matrix] = None
-        #: Destinations that received mail last round (refresh set).
+        self._gen_latest: List[Dict[int, int]] = [{} for _ in range(k)]
+        #: Destinations holding undelivered-into-X mail (refresh set).
         self._mail: set = set()
         # Per-group solves run sequentially and copy their result out
         # before the next begins, so all K workspaces can be views of
@@ -377,10 +559,15 @@ class SynchronousEngine:
         self._workspaces = [shared_ws.sliced(sizes[g]) for g in range(k)]
         self._last_delta = np.full(k, np.inf, dtype=np.float64)
         self._inner_sweeps = np.zeros(k, dtype=np.int64)
-        self._rounds = 0
-        #: Cached calibration for the lossless fast path: traffic of
-        #: one full round plus its delivery order (computed once).
+        self._outer = np.zeros(k, dtype=np.int64)
+        self._stale = np.zeros(k, dtype=np.int64)
+        #: Last shipped segment per pair (``suppress_tol`` only).
+        self._last_sent: Dict[Tuple[int, int], np.ndarray] = {}
+        self._rounds_run = 0
+        #: Full-round calibration (delivery order, traffic) and the
+        #: afferent matrix built from it, for the calibrated SpMV.
         self._calibration: Optional[Tuple[List[Tuple[int, int]], TrafficAccountant]] = None
+        self._afferent: Optional[sp.csr_matrix] = None
         #: Shared wire-codec session manager (None when codec="none").
         #: One session per ordered pair, the same pair universe the
         #: event engine's DistributedRun builds, so the certified
@@ -396,8 +583,50 @@ class SynchronousEngine:
                 n_pairs=len(self._pairs),
             )
 
-        #: Common tick period of the synchronous schedule.
-        self.period = max(0.5 * (config.t1 + config.t2), MIN_MEAN_WAIT)
+        # Async rate credit: each group accrues period / mean_wait per
+        # round and steps when its credit reaches 1 (consuming it).
+        # Mean waits come from config.mean_waits or the event engine's
+        # "wait-means" stream.
+        self._async = config.schedule == "async"
+        self._credit = np.zeros(k, dtype=np.float64)
+        if self._async:
+            if config.mean_waits is not None:
+                waits = [float(w) for w in config.mean_waits]
+            else:
+                wait_rng = seeds.generator("wait-means")
+                waits = [
+                    float(wait_rng.uniform(config.t1, config.t2))
+                    for _ in range(k)
+                ]
+            self._rates = np.array(
+                [self.period / max(w, MIN_MEAN_WAIT) for w in waits],
+                dtype=np.float64,
+            )
+
+        self._plane = None
+        self._fsim: Optional[Simulator] = None
+        self._arq = None
+        if _PLANE_FEATURES.intersection(requested_features(config)):
+            from repro.core.hybrid import FaultPlane
+
+            self._plane = FaultPlane(self, seeds)
+            self._fsim = self._plane.sim
+            self._arq = self._plane.arq
+        self._approx = bool(
+            self._async or self._plane is not None or config.suppress_tol > 0.0
+        )
+        # The back-end is kept as a plain function, not a bound method:
+        # a bound method would put the engine in a reference cycle and
+        # keep its arrays alive after the caller drops it, until the
+        # cyclic collector happens to run.
+        if self._arq is not None:
+            self._deliver = SynchronousEngine._deliver_arq
+        elif self._plane is not None:
+            self._deliver = SynchronousEngine._deliver_live
+        elif self._approx or self._codec is not None or config.delivery_prob < 1.0:
+            self._deliver = SynchronousEngine._deliver_replay
+        else:
+            self._deliver = SynchronousEngine._deliver_afferent
 
         # The grouped-operator build churned through chunk temporaries
         # whose freed pages glibc retains; hand them back so the run's
@@ -405,20 +634,24 @@ class SynchronousEngine:
         # high-water stays at the build peak (see repro.utils.memory).
         trim_heap()
 
-    def _a_all(self) -> sp.csr_matrix:
-        """The block-diagonal in-group operator, built on first use."""
-        if self._a_all_cache is None:
-            self._a_all_cache = sp.block_diag(
-                self.system.blocks.diag, format="csr"
-            )
-        return self._a_all_cache
+    def run(
+        self,
+        *,
+        max_time: float = 1000.0,
+        target_relative_error: Optional[float] = None,
+        quiescence_delta: Optional[float] = None,
+        quiescence_samples: int = 3,
+    ) -> RunResult:
+        """Execute rounds until a stop condition; gather a RunResult.
+
+        See :meth:`_RoundEngine._run_rounds` for the clocks and stop
+        conditions.
+        """
+        return self._run_rounds(
+            max_time, target_relative_error, quiescence_delta, quiescence_samples
+        )
 
     # ------------------------------------------------------------------
-    @property
-    def n_groups(self) -> int:
-        """Number of page groups (the paper's K)."""
-        return self.config.n_groups
-
     def group_ranks(self) -> List[np.ndarray]:
         """Current per-group local rank vectors (views, group order)."""
         return [self._r[self._slices[g]] for g in range(self.n_groups)]
@@ -427,68 +660,39 @@ class SynchronousEngine:
         """Current global rank vector in original page order."""
         return self.system.assemble(self.group_ranks(), out=out)
 
+    def _full_round(self) -> Tuple[List[Tuple[int, int]], TrafficAccountant]:
+        """Calibration replay of one round in which every pair sends."""
+        if self._calibration is None:
+            self._calibration = _replay_transport_round(
+                self.config,
+                self.overlay,
+                [(g, h, records, -1) for g, h, _, _, records in self._pairs],
+            )
+        return self._calibration
+
     def calibrated_round_traffic(self):
         """Exact traffic of one lossless round as a snapshot at t=0.
 
-        This is the per-round quantity the engine adds to its main
-        accountant every round via
+        This is the per-round quantity the calibrated-SpMV back-end
+        adds to the main accountant every round via
         :meth:`~repro.net.bandwidth.TrafficAccountant.merge` — measured
         once on the calibration replay, never by materializing real
         score updates.
         """
-        if self._calibration is None:
-            self._calibration = self._replay_round(self._pairs)
-            self._afferent = self._build_afferent(self._calibration[0])
-        return self._calibration[1].snapshot(0.0)
+        return self._full_round()[1].snapshot(0.0)
 
     def paper_round_estimate(self) -> Dict[str, float]:
         """Per-round traffic predicted by the paper's §4.4 formulas.
 
-        Evaluates :mod:`repro.analysis.cost_model` formulas 4.1–4.4
-        with this system's actual totals — W as the total cross-group
-        link records, h as the mean overlay hop count over the pairs
-        that actually exchange updates, g as the overlay's mean
-        neighbor count, and N as the ranker count — giving the
+        W is the total cross-group link records and h the mean overlay
+        hop count over the pairs that actually exchange updates — the
         closed-form counterpart to :meth:`calibrated_round_traffic`
         (the formulas assume all N² pairs communicate, so they are an
         upper envelope of the measured totals on sparse cut graphs).
         """
-        from repro.analysis.cost_model import (
-            direct_data_bytes,
-            direct_messages,
-            indirect_data_bytes,
-            indirect_messages,
-        )
-
-        k = self.config.n_groups
-        w = float(sum(p[4] for p in self._pairs))
-        hop_counts = [self.overlay.hops(g, h) for g, h, _, _, _ in self._pairs]
-        h_mean = float(np.mean(hop_counts)) if hop_counts else 0.0
-        if self.config.transport == "indirect":
-            return {
-                "data_messages": indirect_messages(
-                    k, self.overlay.mean_neighbor_count()
-                ),
-                "data_bytes": indirect_data_bytes(w, h_mean),
-            }
-        return {
-            "data_messages": direct_messages(k, h_mean),
-            "data_bytes": direct_data_bytes(w, h_mean, k),
-        }
-
-    # ------------------------------------------------------------------
-    def _replay_round(
-        self, pairs: List[Tuple[int, int, slice, np.ndarray, int]]
-    ) -> Tuple[List[Tuple[int, int]], TrafficAccountant]:
-        """Route one round's surviving sends through the real transport.
-
-        Returns the delivery order as (src, dst) in upcall sequence and
-        a scratch accountant holding the round's exact traffic (see
-        :func:`_replay_transport_round`, which the Monte-Carlo engine
-        shares for its per-round walk-token traffic).
-        """
-        return _replay_transport_round(
-            self.config, self.overlay, [(p[0], p[1], p[4]) for p in pairs]
+        return self._paper_estimate(
+            float(sum(p[4] for p in self._pairs)),
+            [(g, h) for g, h, _, _, _ in self._pairs],
         )
 
     def _build_afferent(self, order: List[Tuple[int, int]]) -> sp.csr_matrix:
@@ -505,6 +709,7 @@ class SynchronousEngine:
         """
         n_rows = self._x.size
         idx_dtype = np.int32 if self._y.size < 2**31 else np.int64
+        cslices = {(g, h): csl for g, h, csl, _, _ in self._pairs}
         # Two-pass counting scatter instead of a global stable argsort:
         # each pair's row list (``np.flatnonzero`` output) is unique and
         # ascending, so walking pairs in arrival order and appending at
@@ -527,7 +732,7 @@ class SynchronousEngine:
         cols = np.empty(nnz, dtype=idx_dtype)
         for src, dst in order:
             idx = self._pair_idx[(src, dst)]
-            csl = self._pair_cslice[(src, dst)]
+            csl = cslices[(src, dst)]
             cur = cursor[int(self._offsets[dst]) :]
             pos = cur[idx]
             cols[pos] = np.arange(
@@ -539,131 +744,76 @@ class SynchronousEngine:
             shape=(n_rows, self._y.size),
         )
 
-    def _communicate_codec(self) -> None:
-        """Codec round: encode every pair, replay survivors, deliver.
+    # ------------------------------------------------------------------
+    # Round execution
+    # ------------------------------------------------------------------
+    def _round(self, t: float) -> None:
+        """One round at tick ``t``: advance, mask, compute, deliver."""
+        # Everything scheduled before this tick lands first:
+        # deliveries, crashes, pauses, heartbeats, checkpoints,
+        # takeovers, ACK timeouts — in event order.
+        self._advance(t)
+        stepping = self._stepping_groups()
+        self._compute(stepping)
+        csr_matvec_into(self._cut, self._r, self._y)
+        self._deliver(self, stepping, t)
+        self._rounds_run += 1
 
-        Config validation guarantees ``delivery_prob == 1`` under a
-        codec, so there is no loss interplay: every encoded frame is
-        delivered.  Each pair's compressed Y segment is encoded with
-        its nonzero-row map (so frame bytes match the event engine's
-        dense emissions — see :meth:`AdaptiveCodec.encode`), suppressed
-        pairs ship nothing, and receivers hold copies of the codec's
-        reconstruction mirror, reusing the loss path's
-        insertion-ordered ``_latest``/``_mail`` refresh machinery.  At
-        ε_comm = 0 the reconstruction equals the true segment bit for
-        bit, so the refresh re-sums exactly the values the lossless
-        SpMV path would deliver, in the same first-arrival order.
-        Per-round byte totals vary with frame content, so the replay
-        runs every round instead of caching one calibration.
-        """
-        sends = []
-        for g, h, csl, idx, records in self._pairs:
-            frame = self._codec.encode(g, h, self._y[csl], index_map=idx)
-            if frame is None:
-                continue
-            sends.append((g, h, records, frame.wire_bytes))
-        order, acc = _replay_transport_round(self.config, self.overlay, sends)
-        self.accountant.merge(acc)
-        for src, dst in order:
-            seg = self._codec.recon(src, dst)
-            held = self._latest[dst].get(src)
-            if held is None:
-                self._latest[dst][src] = seg.copy()
-            else:
-                np.copyto(held, seg)
-            self._mail.add(dst)
+    def _advance(self, t: float) -> None:
+        """Run the fault plane (if any) up to time ``t``."""
+        if self._fsim is not None:
+            self._fsim.run(until=t)
 
-    def _communicate(self) -> None:
-        """Apply loss, account the round's traffic, deliver the Y slices."""
-        if self._codec is not None:
-            self._communicate_codec()
-            return
-        if isinstance(self._loss, NoLoss):
-            if self._calibration is None:
-                self._calibration = self._replay_round(self._pairs)
-                self._afferent = self._build_afferent(self._calibration[0])
-            self.accountant.merge(self._calibration[1])
-            # Every source re-arrives, so the whole delivery + refresh
-            # is one SpMV in arrival order (see _build_afferent).
-            csr_matvec_into(self._afferent, self._y, self._x)
-            return
+    def _stepping_groups(self):
+        """Groups that step this round: due, alive, and unpaused."""
+        groups = range(self.config.n_groups)
+        if self._async:
+            np.add(self._credit, self._rates, out=self._credit)
+            due = self._credit >= 1.0
+            # Due groups consume their credit whether or not they are
+            # eligible — a paused event ranker burns its wakes too.
+            # The cap keeps a masked group from banking a burst.
+            self._credit[due] -= 1.0
+            np.clip(self._credit, 0.0, 1.0, out=self._credit)
+            groups = np.flatnonzero(due).tolist()
+        if self._plane is not None:
+            shadows = self._plane.shadows
+            groups = [
+                g for g in groups
+                if not (shadows[g].crashed or shadows[g].paused)
+            ]
+        return groups
 
-        # One Bernoulli draw per pair in emission order — the same
-        # stream consumption as the event engine's transports.
-        survivors = []
-        for pair in self._pairs:
-            if self._loss.delivered(pair[0], pair[1]):
-                survivors.append(pair)
-            else:
-                self.dropped_updates += 1
-        order, acc = self._replay_round(survivors)
-        self.accountant.merge(acc)
-
-        by_pair = self._pair_cslice
-        for src, dst in order:
-            seg = self._y[by_pair[(src, dst)]]
-            held = self._latest[dst].get(src)
-            if held is None:
-                # First arrival: append (fixes this source's position
-                # in the destination's summation order for good).
-                self._latest[dst][src] = seg.copy()
-            else:
-                np.copyto(held, seg)
-            self._mail.add(dst)
-
-    def _compute(self) -> None:
-        """One outer loop for every group, as global vector kernels."""
+    def _compute(self, stepping) -> None:
+        """Step each stepping group exactly as DPRNode.step would."""
         cfg = self.config
-        # Refresh X (loss path only; lossless X was computed by the
-        # afferent SpMV): re-sum each mailed destination's newest
-        # compressed vectors in first-arrival order.  Scattering each
-        # source's nonzero elements through its index array performs
-        # the same elementwise additions as DPRNode._refresh's dense
-        # vector adds — the skipped elements only ever add +0.0.
-        for h in self._mail:
-            xh = self._x[self._slices[h]]
-            xh[:] = 0.0
-            for src, vec in self._latest[h].items():
-                xh[self._pair_idx[(src, h)]] += vec
-        self._mail = set()
-
-        if cfg.algorithm == "dpr2":
-            # f = βE + X over the whole system (same elementwise add
-            # the nodes perform per group; a cached unchanged f re-adds
-            # to the same bits, so recomputing globally is safe).
-            if self._f is None:
-                self._f = np.empty_like(self._r)
-            np.add(self._beta_e, self._x, out=self._f)
-            # One whole-system sweep: R ← A·R + f, fused with the
-            # per-group ‖ΔR‖₁ reductions over contiguous slices.
-            if self._ping is None:
-                self._ping = np.zeros_like(self._r)
-                self._scratch = np.zeros_like(self._r)
-            csr_matvec_into(self._a_all(), self._r, self._ping)
-            np.add(self._ping, self._f, out=self._ping)
-            np.subtract(self._ping, self._r, out=self._scratch)
-            np.abs(self._scratch, out=self._scratch)
-            for g in range(cfg.n_groups):
-                sl = self._slices[g]
-                if sl.stop == sl.start:
-                    self._last_delta[g] = 0.0
-                    continue
-                self._last_delta[g] = float(self._scratch[sl].sum())
+        for g in stepping:
+            self._outer[g] += 1
+            sl = self._slices[g]
+            if sl.stop == sl.start:
+                self._last_delta[g] = 0.0
+                continue
+            if g in self._mail:
+                # Refresh X: re-sum the newest compressed afferent
+                # vectors in first-arrival order.  Scattering each
+                # source's nonzero elements through its index array
+                # performs the same elementwise additions as
+                # DPRNode._refresh's dense vector adds — the skipped
+                # elements only ever add +0.0.
+                xh = self._x[sl]
+                xh[:] = 0.0
+                for src, vec in self._latest[g].items():
+                    xh[self._pair_idx[(src, g)]] += vec
+                self._mail.discard(g)
+            r_g = self._r[sl]
+            f_g = self._fbuf[: sl.stop - sl.start]
+            np.add(self._beta_e[sl], self._x[sl], out=f_g)
+            ws = self._workspaces[g]
+            if cfg.algorithm == "dpr2":
+                delta = ws.sweep_delta(self.system.diag(g), r_g, f_g, out=ws._ping)
+                np.copyto(r_g, ws._ping)
                 self._inner_sweeps[g] += 1
-            self._r, self._ping = self._ping, self._r
-        else:
-            for g in range(cfg.n_groups):
-                sl = self._slices[g]
-                if sl.stop == sl.start:
-                    self._last_delta[g] = 0.0
-                    continue
-                r_g = self._r[sl]
-                # Group g's f = βE + X assembled into the shared
-                # buffer: the identical per-slice add the global-f
-                # path performed, one group at a time.
-                f_g = self._fbuf[: sl.stop - sl.start]
-                np.add(self._beta_e[sl], self._x[sl], out=f_g)
-                ws = self._workspaces[g]
+            else:
                 if cfg.inner_solver == "gauss_seidel":
                     from repro.linalg.acceleration import gauss_seidel_solve
 
@@ -681,196 +831,179 @@ class SynchronousEngine:
                 sc = ws._scratch
                 np.subtract(res.x, r_g, out=sc)
                 np.abs(sc, out=sc)
-                self._last_delta[g] = float(sc.sum())
+                delta = sc.sum()
                 np.copyto(r_g, res.x)
-        self._rounds += 1
-
-    def _round(self) -> None:
-        """One bulk-synchronous round: compute, emit Y, communicate."""
-        self._compute()
-        csr_matvec_into(self._cut, self._r, self._y)
-        self._communicate()
+            self._last_delta[g] = float(delta)
 
     # ------------------------------------------------------------------
-    # Subclass hooks (the hybrid engine overrides these; see
-    # repro.core.hybrid).  The base implementations reproduce the
-    # flat engine's historical behaviour exactly.
+    # Delivery pipeline
     # ------------------------------------------------------------------
-    def _pre_sample(self, t: float) -> None:
-        """Called at the top of every sample, before state is read."""
+    def _sends(self, stepping, draw_loss: bool) -> List[Tuple]:
+        """The round's sends, in emission order.
 
-    def _finish(self, t: float) -> None:
-        """Called once after the run loop, before result assembly."""
-
-    def _outer_progress(self) -> Tuple[int, float]:
-        """(max, mean) outer-iteration progress for the trace."""
-        return self._rounds, float(self._rounds)
-
-    def _outer_vector(self) -> np.ndarray:
-        """Per-group outer iteration counts for the result."""
-        return np.full(self.config.n_groups, self._rounds, dtype=np.int64)
-
-    def _quiescent_now(self, quiescence_delta: float) -> bool:
-        """One sample's quiescence verdict (streak logic is the caller's)."""
-        return self._rounds > 0 and bool(
-            (self._last_delta <= quiescence_delta).all()
-        )
-
-    def _dropped_total(self) -> int:
-        """Loss-model drops to report (transports may hold the counter)."""
-        return self.dropped_updates
-
-    def _extra_result_fields(self, now: float) -> Dict:
-        """Engine-specific RunResult fields (fidelity, fault counters)."""
-        return {}
-
-    def _codec_stats(self) -> Optional[Dict]:
-        """Codec counter snapshot + certified bound (None when off)."""
-        if self._codec is None:
-            return None
-        return {
-            **self._codec.stats(),
-            "certified_bound": self._codec.certified_bound(self.config.alpha),
-        }
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        *,
-        max_time: float = 1000.0,
-        target_relative_error: Optional[float] = None,
-        quiescence_delta: Optional[float] = None,
-        quiescence_samples: int = 3,
-    ) -> RunResult:
-        """Execute rounds until a stop condition; gather a RunResult.
-
-        Tick ``m`` runs at simulated time ``m × period`` (the exact
-        float sequence the event engine's fixed waits produce), and a
-        sample lands on every ``m``-th tick where
-        ``sample_interval = m × period`` (config validation guarantees
-        the whole-multiple ratio).  The sampling order replicates the
-        event engine's :class:`~repro.core.convergence.Monitor`, whose
-        sample at a tick always executes *before* that tick's ranker
-        wakes (its event was scheduled a full interval earlier, so it
-        carries the lower sequence number): the sample at tick ``m``
-        therefore observes the rounds completed *before* it, and when
-        it trips a stop condition the tick's round is never computed —
-        exactly as the event simulator halts before processing the
-        remaining same-time wakes.  The sample clock accumulates
-        ``sample_interval`` separately from the tick clock (mirroring
-        the monitor's relative rescheduling) so trace timestamps are
-        bit-identical too.  Stop conditions mirror the monitor: target
-        relative error, quiescence (every group's last step delta at
-        or below ``quiescence_delta`` for ``quiescence_samples``
-        consecutive samples), or ``max_time``.
+        Each is ``(src, dst, records, wire_bytes, values, generation)``
+        after suppression (``suppress_tol``), codec encode (suppressed
+        frames send nothing; ``values`` becomes the reconstruction
+        mirror, the receiver's exact post-frame state) and — when
+        ``draw_loss`` — the origin loss draw.  The ARQ and live
+        back-ends roll loss per wire attempt inside the transport
+        instead.  ``values`` are views valid until the next round.
         """
-        cfg = self.config
-        trace = ConvergenceTrace()
-        converged = False
-        target_time: Optional[float] = None
-        quiescent = False
-        quiescence_time: Optional[float] = None
-        quiet_streak = 0
+        tol = self.config.suppress_tol
+        out = []
+        for g in stepping:
+            gen = int(self._outer[g])
+            for h, csl, idx, records in self._pairs_by_src[g]:
+                values = self._y[csl]
+                if tol > 0.0:
+                    prev = self._last_sent.get((g, h))
+                    # Compressed diff == dense diff: structurally-zero
+                    # rows are +0.0 on both sides.
+                    if prev is not None and float(np.abs(values - prev).sum()) <= tol:
+                        continue
+                    self._last_sent[(g, h)] = values.copy()
+                wire_bytes = -1
+                if self._codec is not None:
+                    frame = self._codec.encode(g, h, values, index_map=idx)
+                    if frame is None:
+                        continue
+                    values, wire_bytes = frame.values, frame.wire_bytes
+                if draw_loss and not self._loss.delivered(g, h):
+                    self.dropped_updates += 1
+                    continue
+                out.append((g, h, records, wire_bytes, values, gen))
+        return out
 
-        # Sampling reuses one n-page buffer and the cached reference
-        # norm so a long run allocates nothing per sample.  The error
-        # below performs the exact subtract/abs/sum/divide sequence of
-        # relative_l1_error (l1_norm(x - ref) / l1_norm(ref)), so the
-        # recorded values are bit-identical to the event engine's; the
-        # mean is taken before the in-place subtract clobbers ranks.
-        ranks_buf = np.empty(self.graph.n_pages, dtype=np.float64)
-        denom = l1_norm(self.reference)
+    def _apply(self, src: int, dst: int, values, generation: int) -> None:
+        """DPRNode.receive semantics over the flat state: generation
+        check, first-arrival summation order, mail flag."""
+        gens = self._gen_latest[dst]
+        prev_gen = gens.get(src)
+        if prev_gen is not None and generation <= prev_gen:
+            self._stale[dst] += 1
+            return
+        gens[src] = generation
+        held = self._latest[dst].get(src)
+        if held is None:
+            # First arrival fixes this source's position in the
+            # destination's re-summation order for good (dict order).
+            self._latest[dst][src] = np.array(values, dtype=np.float64)
+        else:
+            np.copyto(held, values)
+        self._mail.add(dst)
 
-        def sample(t: float) -> None:
-            nonlocal converged, target_time, quiescent, quiescence_time, quiet_streak
-            self._pre_sample(t)
-            ranks = self.assemble_ranks(out=ranks_buf)
-            mean_rank = float(ranks.mean()) if ranks.size else 0.0
-            np.subtract(ranks, self.reference, out=ranks)
-            np.abs(ranks, out=ranks)
-            num = float(ranks.sum())
-            if denom == 0.0:
-                err = 0.0 if num == 0.0 else math.inf
-            else:
-                err = num / denom
-            trace.times.append(t)
-            trace.relative_errors.append(err)
-            trace.mean_ranks.append(mean_rank)
-            max_outer, mean_outer = self._outer_progress()
-            trace.max_outer_iterations.append(max_outer)
-            trace.mean_outer_iterations.append(mean_outer)
-            snap = self.accountant.snapshot(t)
-            trace.total_messages.append(snap.total_messages)
-            trace.total_bytes.append(snap.total_bytes)
-            if (
-                target_relative_error is not None
-                and err <= target_relative_error
-                and not converged
+    def _deliver_afferent(self, stepping, t: float) -> None:
+        """Calibrated SpMV: every pair sends and arrives, so traffic is
+        the cached calibration and delivery + refresh is ``X = F·Y``."""
+        order, acc = self._full_round()
+        if self._afferent is None:
+            self._afferent = self._build_afferent(order)
+        self.accountant.merge(acc)
+        csr_matvec_into(self._afferent, self._y, self._x)
+
+    def _deliver_replay(self, stepping, t: float) -> None:
+        """Scratch replay: route the surviving sends through the real
+        transport on a fresh simulator, apply in delivery order."""
+        sends = self._sends(stepping, draw_loss=True)
+        order, acc = _replay_transport_round(self.config, self.overlay, sends)
+        self.accountant.merge(acc)
+        by_pair = {(s[0], s[1]): s for s in sends}
+        for src, dst in order:
+            send = by_pair[(src, dst)]
+            self._apply(src, dst, send[4], send[5])
+
+    def _deliver_arq(self, stepping, t: float) -> None:
+        """ARQ replay: each send's ARQ chain resolves in this round;
+        payloads reaching a live destination apply immediately."""
+        shadows = self._plane.shadows
+        sends = self._sends(stepping, draw_loss=False)
+        for g, h, records, wire_bytes, values, gen in sends:
+            paper = records * LINK_RECORD_BYTES
+            if self._arq.send(
+                g,
+                h,
+                paper if wire_bytes < 0 else wire_bytes,
+                not shadows[h].crashed,
+                paper_bytes=paper,
             ):
-                converged = True
-                target_time = t
-            if quiescence_delta is not None and not quiescent:
-                quiet = self._quiescent_now(quiescence_delta)
-                quiet_streak = quiet_streak + 1 if quiet else 0
-                if quiet_streak >= quiescence_samples:
-                    quiescent = True
-                    quiescence_time = t
+                self._apply(g, h, values, gen)
 
-        interval = float(cfg.sample_interval)
-        every = int(round(interval / self.period))
-
-        sample(0.0)
-        t = 0.0  # tick clock: accumulates the period like ranker waits
-        t_s = 0.0  # sample clock: accumulates the monitor's interval
-        k = 0
-        while not converged and not quiescent:
-            t_next = t + self.period
-            if t_next > max_time:
-                t = float(max_time)
-                break
-            t = t_next
-            k += 1
-            if k % every == 0:
-                t_s = t_s + interval
-                if t_s != t:
-                    raise ValueError(
-                        f"sample clock drifted from the tick clock "
-                        f"({t_s!r} vs {t!r}): sample_interval and the "
-                        "period accumulate differently in float "
-                        "arithmetic; pick exactly representable values"
+    def _deliver_live(self, stepping, t: float) -> None:
+        """Live transport: real updates through the fault plane."""
+        transport = self._plane.transport
+        sends = self._sends(stepping, draw_loss=False)
+        for g, group in groupby(sends, key=lambda send: send[0]):
+            transport.send_updates(
+                g,
+                [
+                    ScoreUpdate(
+                        src_group=g,
+                        dst_group=h,
+                        # Copied: the round buffers are reused, and the
+                        # ARQ layer must retransmit the original payload.
+                        values=values.copy(),
+                        n_link_records=records,
+                        generation=gen,
+                        sent_at=t,
+                        wire_bytes=wire_bytes,
                     )
-                sample(t_s)
-                if converged or quiescent:
-                    break
-            self._round()
+                    for _, h, records, wire_bytes, values, gen in group
+                ],
+            )
+        # Zero-delay deliveries (hop_delay=0) land at t, exactly as
+        # the event simulator keeps draining same-time events.
+        self._fsim.run(until=t)
 
-        self._finish(t)
-        return assemble_run_result(
-            # The sample buffer is dead after the loop, so the final
-            # assembly fills it and hands it to the result outright.
-            ranks=self.assemble_ranks(out=ranks_buf),
-            reference=self.reference,
-            trace=trace,
-            converged=converged,
-            time_to_target=target_time,
-            outer_iterations=self._outer_vector(),
-            inner_sweeps=self._inner_sweeps.copy(),
-            accountant=self.accountant,
-            now=t,
-            dropped_updates=self._dropped_total(),
-            quiescent=quiescent,
-            quiescence_time=quiescence_time,
-            config=cfg,
-            codec_stats=self._codec_stats(),
-            **self._extra_result_fields(t),
+    # ------------------------------------------------------------------
+    # Run-loop hooks
+    # ------------------------------------------------------------------
+    def _observe(self, out: np.ndarray, t: float) -> np.ndarray:
+        # The event engine's monitor samples after every event strictly
+        # before t has been processed, and the run ends with its one
+        # simulator drained to the stop time; drain the fault plane so
+        # traffic snapshots and delivered state agree.
+        self._advance(t)
+        return self.assemble_ranks(out=out)
+
+    def _progress(self) -> Tuple[int, float]:
+        return int(self._outer.max()), float(self._outer.mean())
+
+    def _quiet_now(self, quiescence_delta: float) -> bool:
+        # The monitor's per-node rule: every group has stepped at least
+        # once and its last step delta is at or below the threshold.
+        return bool(
+            (self._outer > 0).all()
+            and (self._last_delta <= quiescence_delta).all()
         )
 
+    def _result_fields(self, now: float) -> Dict:
+        fields: Dict = {
+            "outer_iterations": self._outer.copy(),
+            "inner_sweeps": self._inner_sweeps.copy(),
+            "dropped_updates": self.dropped_updates,
+            "fidelity": "approximate" if self._approx else "exact",
+            "fast_rounds": 0 if self._approx else self._rounds_run,
+            "replayed_rounds": self._rounds_run if self._approx else 0,
+            "codec_stats": None
+            if self._codec is None
+            else {
+                **self._codec.stats(),
+                "certified_bound": self._codec.certified_bound(
+                    self.config.alpha
+                ),
+            },
+        }
+        if self._plane is not None:
+            fields.update(self._plane.result_fields(now))
+        return fields
 
-class MonteCarloEngine:
+
+class MonteCarloEngine(_RoundEngine):
     """Distributed random-walk ranking over the partitioned system.
 
-    Construction mirrors :class:`SynchronousEngine` (same partition
-    and overlay from the same named seeds, same ``RunResult`` via
+    Construction and the run loop are shared with
+    :class:`SynchronousEngine` (same partition and overlay from the
+    same named seeds, same ``RunResult`` via
     :func:`~repro.core.coordinator.assemble_run_result`), but the
     computation is the Monte-Carlo estimator of
     :mod:`repro.linalg.montecarlo` instead of Jacobi iteration: each
@@ -890,7 +1023,8 @@ class MonteCarloEngine:
     carries the documented tolerance
     :func:`~repro.linalg.montecarlo.mc_error_tolerance` rather than a
     convergence guarantee, and the run naturally completes when every
-    token has terminated (the estimate can no longer change).
+    token has terminated (the estimate can no longer change): the
+    first sample that observes an empty ensemble ends it.
 
     Parameters
     ----------
@@ -916,35 +1050,13 @@ class MonteCarloEngine:
         from repro.core.pagerank import pagerank_open
         from repro.linalg.montecarlo import RandomWalkState
 
-        self.graph = graph
-        self.config = config
         seeds = SeedSequenceFactory(config.seed)
-
-        self.partition = (
-            partition
-            if partition is not None
-            else make_partition(
-                graph,
-                config.n_groups,
-                config.partition_strategy,
-                seed=seeds.seed("partition"),
-            )
-        )
-        if self.partition.n_groups != config.n_groups:
-            raise ValueError("partition n_groups disagrees with config")
-
+        super().__init__(graph, config, partition, seeds)
         self.reference = (
             np.asarray(reference, dtype=np.float64)
             if reference is not None
             else pagerank_open(graph, config.alpha, e=config.e).ranks
         )
-
-        self.overlay = build_overlay(
-            config.overlay, config.n_groups, seed=seeds.seed("overlay") % (2**31)
-        )
-        self.accountant = TrafficAccountant(config.n_groups)
-        self.dropped_updates = 0
-
         self.state = RandomWalkState(
             graph,
             alpha=config.alpha,
@@ -977,15 +1089,24 @@ class MonteCarloEngine:
         self._codec_frames = 0
         self._codec_entries = 0
 
-        #: Common tick period of the synchronous schedule.
-        self.period = max(0.5 * (config.t1 + config.t2), MIN_MEAN_WAIT)
+    def run(
+        self,
+        *,
+        max_time: float = 1000.0,
+        target_relative_error: Optional[float] = None,
+        quiescence_delta: Optional[float] = None,
+        quiescence_samples: int = 3,
+    ) -> RunResult:
+        """Execute rounds until a stop condition; gather a RunResult.
+
+        See :meth:`_RoundEngine._run_rounds` for the clocks and stop
+        conditions (plus the mc-only stop: an empty token ensemble).
+        """
+        return self._run_rounds(
+            max_time, target_relative_error, quiescence_delta, quiescence_samples
+        )
 
     # ------------------------------------------------------------------
-    @property
-    def n_groups(self) -> int:
-        """Number of page groups (the paper's K)."""
-        return self.config.n_groups
-
     def paper_round_estimate(self) -> Dict[str, float]:
         """Per-round traffic predicted by the paper's §4.4 formulas.
 
@@ -997,31 +1118,13 @@ class MonteCarloEngine:
         tokens.  Call after :meth:`run`; before any round both terms
         are zero.
         """
-        from repro.analysis.cost_model import (
-            direct_data_bytes,
-            direct_messages,
-            indirect_data_bytes,
-            indirect_messages,
+        return self._paper_estimate(
+            self._crossing_records / max(self._rounds, 1),
+            sorted(self._pairs_seen),
         )
 
-        k = self.config.n_groups
-        w = self._crossing_records / max(self._rounds, 1)
-        hop_counts = [self.overlay.hops(g, h) for g, h in sorted(self._pairs_seen)]
-        h_mean = float(np.mean(hop_counts)) if hop_counts else 0.0
-        if self.config.transport == "indirect":
-            return {
-                "data_messages": indirect_messages(
-                    k, self.overlay.mean_neighbor_count()
-                ),
-                "data_bytes": indirect_data_bytes(w, h_mean),
-            }
-        return {
-            "data_messages": direct_messages(k, h_mean),
-            "data_bytes": direct_data_bytes(w, h_mean, k),
-        }
-
     # ------------------------------------------------------------------
-    def _round(self) -> None:
+    def _round(self, t: float) -> None:
         """One bulk-synchronous round: step all tokens, ship crossers."""
         k = self.config.n_groups
         pos = self.state.pos
@@ -1076,7 +1179,7 @@ class MonteCarloEngine:
                     self._codec_frames += len(sends)
                 else:
                     sends = [
-                        (int(c) // k, int(c) % k, int(counts[c]))
+                        (int(c) // k, int(c) % k, int(counts[c]), -1)
                         for c in present
                     ]
                 _, acc = _replay_transport_round(
@@ -1088,105 +1191,30 @@ class MonteCarloEngine:
         self._rounds += 1
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        *,
-        max_time: float = 1000.0,
-        target_relative_error: Optional[float] = None,
-        quiescence_delta: Optional[float] = None,
-        quiescence_samples: int = 3,
-    ) -> RunResult:
-        """Execute rounds until a stop condition; gather a RunResult.
+    # Run-loop hooks
+    # ------------------------------------------------------------------
+    def _observe(self, out: np.ndarray, t: float) -> np.ndarray:
+        return self.state.estimate(out=out)
 
-        The tick/sample clocks replicate :meth:`SynchronousEngine.run`
-        (rounds at the common period, samples at whole multiples of
-        it, the sample at a tick observing the rounds completed before
-        it).  Stop conditions: target relative error, quiescence
-        (every group's last-round estimate growth at or below
-        ``quiescence_delta`` for ``quiescence_samples`` consecutive
-        samples), ``max_time`` — plus the estimator's natural
-        completion: once every token has terminated the estimate is
-        final, so the run ends at the first sample that observes an
-        empty ensemble.
-        """
-        cfg = self.config
-        trace = ConvergenceTrace()
-        converged = False
-        target_time: Optional[float] = None
-        quiescent = False
-        quiescence_time: Optional[float] = None
-        quiet_streak = 0
+    def _progress(self) -> Tuple[int, float]:
+        return self._rounds, float(self._rounds)
 
-        ranks_buf = np.empty(self.graph.n_pages, dtype=np.float64)
-        denom = l1_norm(self.reference)
+    def _quiet_now(self, quiescence_delta: float) -> bool:
+        return self._rounds > 0 and bool(
+            (self._last_delta <= quiescence_delta).all()
+        )
 
-        def sample(t: float) -> None:
-            nonlocal converged, target_time, quiescent, quiescence_time, quiet_streak
-            ranks = self.state.estimate(out=ranks_buf)
-            mean_rank = float(ranks.mean()) if ranks.size else 0.0
-            np.subtract(ranks, self.reference, out=ranks)
-            np.abs(ranks, out=ranks)
-            num = float(ranks.sum())
-            if denom == 0.0:
-                err = 0.0 if num == 0.0 else math.inf
-            else:
-                err = num / denom
-            trace.times.append(t)
-            trace.relative_errors.append(err)
-            trace.mean_ranks.append(mean_rank)
-            trace.max_outer_iterations.append(self._rounds)
-            trace.mean_outer_iterations.append(float(self._rounds))
-            snap = self.accountant.snapshot(t)
-            trace.total_messages.append(snap.total_messages)
-            trace.total_bytes.append(snap.total_bytes)
-            if (
-                target_relative_error is not None
-                and err <= target_relative_error
-                and not converged
-            ):
-                converged = True
-                target_time = t
-            if quiescence_delta is not None and not quiescent:
-                quiet = self._rounds > 0 and bool(
-                    (self._last_delta <= quiescence_delta).all()
-                )
-                quiet_streak = quiet_streak + 1 if quiet else 0
-                if quiet_streak >= quiescence_samples:
-                    quiescent = True
-                    quiescence_time = t
+    def _exhausted(self) -> bool:
+        # Every token terminated and the final estimate is on the
+        # trace; further rounds are no-ops.
+        return self.state.alive == 0
 
-        interval = float(cfg.sample_interval)
-        every = int(round(interval / self.period))
-
-        sample(0.0)
-        t = 0.0
-        t_s = 0.0
-        k = 0
-        exhausted = self.state.alive == 0
-        while not converged and not quiescent and not exhausted:
-            t_next = t + self.period
-            if t_next > max_time:
-                t = float(max_time)
-                break
-            t = t_next
-            k += 1
-            if k % every == 0:
-                t_s = t_s + interval
-                sample(t_s)
-                if converged or quiescent:
-                    break
-                if self.state.alive == 0:
-                    # Every token terminated and the final estimate is
-                    # on the trace; further rounds are no-ops.
-                    exhausted = True
-                    break
-            self._round()
-
+    def _result_fields(self, now: float) -> Dict:
         codec_stats = None
         if self._codec_on:
             # Token frames are exact, so the certificate is trivially 0.
             codec_stats = {
-                "codec": cfg.codec,
+                "codec": self.config.codec,
                 "epsilon": 0.0,
                 "pairs": len(self._pairs_seen),
                 "frames": self._codec_frames,
@@ -1197,19 +1225,11 @@ class MonteCarloEngine:
                 "residual_mass": 0.0,
                 "certified_bound": 0.0,
             }
-        return assemble_run_result(
-            ranks=self.state.estimate(out=ranks_buf),
-            reference=self.reference,
-            trace=trace,
-            converged=converged,
-            time_to_target=target_time,
-            outer_iterations=np.full(cfg.n_groups, self._rounds, dtype=np.int64),
-            inner_sweeps=self._token_steps.copy(),
-            accountant=self.accountant,
-            now=t,
-            dropped_updates=self.dropped_updates,
-            quiescent=quiescent,
-            quiescence_time=quiescence_time,
-            config=cfg,
-            codec_stats=codec_stats,
-        )
+        return {
+            "outer_iterations": np.full(
+                self.config.n_groups, self._rounds, dtype=np.int64
+            ),
+            "inner_sweeps": self._token_steps.copy(),
+            "dropped_updates": self.dropped_updates,
+            "codec_stats": codec_stats,
+        }

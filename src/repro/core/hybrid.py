@@ -1,93 +1,54 @@
-"""Hybrid flat/event execution engine — the fault-tolerant fast path.
+"""The fault plane under the round engine (``engine="hybrid"``).
 
-The flat engine (:class:`~repro.core.engine.SynchronousEngine`) runs a
-bulk-synchronous round as three sparse kernels but is failure-free;
-the event engine (:class:`~repro.core.coordinator.DistributedRun`)
-simulates every fault subsystem but pays one Python event per message.
-:class:`HybridEngine` combines them: **compute stays flat** (the same
-per-group Jacobi/DPR2 kernels over one concatenated rank vector) while
-**messaging and faults run on a persistent event-simulated "fault
-plane"** — a real :class:`~repro.net.simulator.Simulator` carrying the
-real transport stack (:func:`~repro.net.transport.build_transport`,
+:class:`~repro.core.engine.SynchronousEngine` runs every round engine
+config; this module holds what it adds when the config asks for
+faults.  :class:`FaultPlane` is a persistent event-simulated world —
+a real :class:`~repro.net.simulator.Simulator` carrying the real
+transport stack (:func:`~repro.net.transport.build_transport`,
 optionally wrapped in :class:`~repro.net.reliable.ReliableTransport`),
 the crash/pause injectors, the heartbeat detector, and the
-checkpoint/recovery layer, all driven over lightweight *shadow
-rankers* that bridge the flat engine's state slices.
+checkpoint/recovery layer — all driven over lightweight *shadow
+rankers* that bridge the engine's state slices.  Reliable configs on
+the direct transport replace the live transport with the
+round-granular :class:`_ReplayARQ`.
 
-Execution model (one round at tick ``t``):
-
-1. advance the fault plane to ``t`` — crashes, pauses, heartbeat
-   sweeps, checkpoints, takeovers, retransmissions, and in-flight
-   deliveries up to the tick all land exactly as the event engine
-   would interleave them (they share one timeline, so a crash firing
-   mid-delivery-window swallows exactly the deliveries the event
-   engine drops);
-2. step every *eligible* group (alive, unpaused, and — under the
-   async schedule — due per its rate credit) with the flat per-group
-   kernels, mirroring :meth:`repro.core.dpr.DPRNode.step` bit for bit;
-3. emit each stepping group's compressed cut segments as real
-   :class:`~repro.net.message.ScoreUpdate` payloads through the fault
-   plane's transport (byte accounting reads ``n_link_records``, so
-   compressed payloads cost exactly what dense ones do), where loss,
-   chaos, ARQ, and sequence numbering behave identically to the event
-   engine.
-
-When the config needs no fault plane and no approximation (sync
-schedule, no faults, no suppression) the engine *is* the flat engine:
-every round runs the inherited three-kernel path and the result is
-bit-identical to ``engine="flat"`` — and therefore to the event
-engine.  Rounds are counted either way (``fast_rounds`` vs
-``replayed_rounds`` in the :class:`~repro.core.coordinator.RunResult`).
+Each round the engine advances the plane to the tick (so a crash
+firing mid-delivery-window swallows exactly the deliveries the event
+engine drops), masks crashed and paused shadows out of the stepping
+set, and hands its sends to the plane's transport or ARQ replay.
 
 Equivalence contracts (verified by ``tests/test_hybrid.py``; see
 DESIGN.md §13 for the full argument):
 
-* **exact** — sync fault-free configs: bit-identical ranks, traffic,
-  and trace versus both the flat and event engines;
-* **approximate** — faulted or async configs: the run reports
-  ``fidelity="approximate"`` and reconverges to the same ε verdict as
-  the event engine.  The known divergence sources are all timing
-  artifacts, not state corruption: recovered replacements re-step on
-  the round grid instead of the event engine's off-grid wake chain,
-  async wake jitter is replaced by a per-group rate credit
+* **exact** — sync fault-free configs build no plane: bit-identical
+  ranks, traffic, and trace versus the event engine;
+* **approximate** — faulted, suppressed or async configs: the run
+  reports ``fidelity="approximate"`` and reconverges to the same ε
+  verdict as the event engine.  The known divergence sources are all
+  timing artifacts, not state corruption: recovered replacements
+  re-step on the round grid instead of the event engine's off-grid
+  wake chain, async wake jitter is replaced by a per-group rate credit
   (``period / mean_wait`` steps per round on average, at most one
   step per round), and exact event-time ties (a retransmit timer
   landing precisely on a wake) may order differently.
 
-Async approximation: each group accumulates ``period / mean_wait_g``
-of *credit* per round and steps when credit reaches 1 (consuming it);
-credit is capped at 1 so a paused or crashed group cannot bank a
-burst, and paused/crashed groups still consume due credit, matching
-the event engine's paused rankers burning their wake chain.  Mean
-waits come from ``config.mean_waits`` or the same named
-``"wait-means"`` stream the event engine draws.
+``HybridEngine`` remains importable from here; it is the round engine
+itself.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.coordinator import DistributedConfig
-from repro.core.engine import SynchronousEngine, _replay_transport_round
-from repro.core.ranker import MIN_MEAN_WAIT
+from repro.core.engine import SynchronousEngine
 from repro.core.recovery import Checkpointer, CheckpointStore, RecoveryManager
-from repro.graph.partition import Partition
-from repro.graph.webgraph import WebGraph
-from repro.linalg.jacobi import csr_matvec_into, jacobi_solve
-from repro.net.bandwidth import TrafficAccountant
-from repro.net.failures import (
-    ChaosModel,
-    NodeCrashInjector,
-    NodePauseInjector,
-    NoLoss,
-)
+from repro.net.failures import ChaosModel, NodeCrashInjector, NodePauseInjector
 from repro.net.heartbeat import HeartbeatMonitor
 from repro.net.latency import FixedLatency
 from repro.net.message import (
     ACK_MESSAGE_BYTES,
-    LINK_RECORD_BYTES,
     LOOKUP_MESSAGE_BYTES,
     PACKAGE_HEADER_BYTES,
     ScoreUpdate,
@@ -97,7 +58,14 @@ from repro.net.simulator import Simulator
 from repro.net.transport import build_transport
 from repro.utils.rng import SeedSequenceFactory
 
-__all__ = ["HybridEngine"]
+# The round kernels stay bound here: perfbench's tracer rebinds them in
+# every repro module and its tests check this module's copies.
+from repro.linalg.jacobi import csr_matvec_into, jacobi_solve  # noqa: F401
+
+__all__ = ["FaultPlane", "HybridEngine"]
+
+#: The one round engine; ``engine="hybrid"`` names its fault-plane mode.
+HybridEngine = SynchronousEngine
 
 
 class _ShadowNode:
@@ -108,13 +76,13 @@ class _ShadowNode:
     recovery layers consume, reading and writing the engine's global
     arrays in place.  Snapshots keep afferent vectors in the engine's
     *compressed* (nonzero-row) form — the format only has to round-trip
-    within the hybrid engine, and the compressed scatter re-sums to the
-    same bits as the dense refresh (see the flat engine's docstring).
+    within the round engine, and the compressed scatter re-sums to the
+    same bits as the dense refresh (see :mod:`repro.core.engine`).
     """
 
     __slots__ = ("engine", "group")
 
-    def __init__(self, engine: "HybridEngine", group: int):
+    def __init__(self, engine: SynchronousEngine, group: int):
         self.engine = engine
         self.group = group
 
@@ -170,7 +138,7 @@ class _ShadowRanker:
 
     __slots__ = ("node", "group", "paused", "crashed", "started")
 
-    def __init__(self, engine: "HybridEngine", group: int):
+    def __init__(self, engine: SynchronousEngine, group: int):
         self.node = _ShadowNode(engine, group)
         self.group = group
         self.paused = False
@@ -258,8 +226,8 @@ class _ReplayARQ:
         return hops
 
     def _transmission(
-        self, src: int, dst: int, payload_bytes: int, alive: bool,
-        delivered_before: bool, paper_bytes: Optional[int] = None,
+        self, src: int, dst: int, payload_bytes: int, paper_bytes: int,
+        alive: bool, delivered_before: bool,
     ) -> Tuple[bool, bool]:
         """One wire attempt; returns (delivered fresh, ACK got back)."""
         if not self.loss.delivered(src, dst):
@@ -274,11 +242,7 @@ class _ReplayARQ:
             src,
             dst,
             PACKAGE_HEADER_BYTES + payload_bytes,
-            paper_bytes=(
-                None
-                if paper_bytes is None
-                else PACKAGE_HEADER_BYTES + paper_bytes
-            ),
+            paper_bytes=PACKAGE_HEADER_BYTES + paper_bytes,
         )
         if not alive:
             self.dead_drops += 1
@@ -299,16 +263,17 @@ class _ReplayARQ:
         dst: int,
         payload_bytes: int,
         alive: bool,
-        paper_bytes: Optional[int] = None,
+        paper_bytes: int,
     ) -> bool:
         """Replay one logical message's full ARQ chain.
 
         Returns True when the payload reached a live destination on any
         attempt (at-least-once delivery with an idempotent receiver).
-        ``paper_bytes`` carries the flat §4.4 payload charge when
-        ``payload_bytes`` is an encoded frame size (codec runs); every
-        attempt — retransmissions and chaos duplicates included —
-        resends the same frame, so both charges ride the whole chain.
+        ``payload_bytes`` is the calibrated charge (the encoded frame
+        size under a codec) and ``paper_bytes`` the flat §4.4 payload
+        charge; every attempt — retransmissions and chaos duplicates
+        included — resends the same frame, so both charges ride the
+        whole chain.
         """
         pair = (src, dst)
         self._next_seq[pair] = self._next_seq.get(pair, 0) + 1
@@ -320,14 +285,14 @@ class _ReplayARQ:
             if chaos.active:
                 chaos.reorder_delay()  # timing-only draw (stream parity)
             fresh, got_ack = self._transmission(
-                src, dst, payload_bytes, alive, delivered, paper_bytes
+                src, dst, payload_bytes, paper_bytes, alive, delivered
             )
             delivered = delivered or fresh
             acked = acked or got_ack
             if chaos.active and chaos.duplicate():
                 self.chaos_duplicates += 1
                 fresh, got_ack = self._transmission(
-                    src, dst, payload_bytes, alive, delivered, paper_bytes
+                    src, dst, payload_bytes, paper_bytes, alive, delivered
                 )
                 delivered = delivered or fresh
                 acked = acked or got_ack
@@ -354,604 +319,173 @@ class _ReplayARQ:
         }
 
 
-class HybridEngine(SynchronousEngine):
-    """Flat-kernel rounds over a persistent event-simulated fault plane.
+class FaultPlane:
+    """The persistent event-simulated world under a faulted round engine.
 
-    Select with ``DistributedConfig(engine="hybrid")`` — or simply ask
-    for ``engine="flat"`` with fault knobs or ``schedule="async"``;
-    :func:`~repro.core.capabilities.resolve_engine` dispatches here
-    automatically.  Construction mirrors the flat engine (same
-    partition/overlay/loss from the same named seed streams), then
-    adds the fault plane only when the config needs it.
+    Built by :class:`~repro.core.engine.SynchronousEngine` when the
+    config requests reliability or faults.  Holds the shadow rankers,
+    the simulator, either the live ``transport`` or the ``arq`` replay
+    (reliable + direct), and the injector, heartbeat, checkpoint and
+    recovery processes.  A second factory over the engine's seed
+    reproduces the event engine's named streams exactly ("chaos",
+    "retry-jitter", injector streams); named streams are independent,
+    so nothing the engine already drew is drawn twice.
     """
 
-    def __init__(
-        self,
-        graph: WebGraph,
-        config: DistributedConfig,
-        *,
-        partition: Optional[Partition] = None,
-        reference: Optional[np.ndarray] = None,
-    ):
-        super().__init__(
-            graph, config, partition=partition, reference=reference
-        )
-        cfg = config
-        k = cfg.n_groups
+    def __init__(self, engine: SynchronousEngine, seeds: SeedSequenceFactory):
+        cfg = engine.config
+        self.engine = engine
+        self.shadows = [_ShadowRanker(engine, g) for g in range(cfg.n_groups)]
+        self.store = CheckpointStore()
+        self.sim = Simulator()
+        self.transport = None
+        self.reliable: Optional[ReliableTransport] = None
+        self.arq: Optional[_ReplayARQ] = None
+        self.crash_injector: Optional[NodeCrashInjector] = None
+        self.heartbeat: Optional[HeartbeatMonitor] = None
+        self.recovery: Optional[RecoveryManager] = None
 
-        #: Fault-plane processes (injectors/heartbeat/checkpoint/recovery)
-        #: that need the persistent simulator regardless of data path.
-        self._plane = bool(
-            cfg.pause_faults > 0
-            or cfg.crash_prob > 0.0
-            or cfg.heartbeat_interval > 0.0
-            or cfg.checkpoint_interval > 0.0
-            or cfg.recovery
-        )
-        self._fault_world = bool(cfg.reliable or self._plane)
-        #: Reliable+direct data traffic runs the round-granular ARQ
-        #: replay (the fast path the chaos bench gates); reliable over
-        #: the indirect transport keeps full world-mode fidelity.
-        self._arq_mode = bool(cfg.reliable and cfg.transport == "direct")
-        self._async = cfg.schedule == "async"
-        self._approx = (
-            self._async or self._fault_world or cfg.suppress_tol > 0.0
-        )
-        #: Rounds run on the pure inherited flat path.
-        self._fast_rounds = 0
-        #: Rounds whose messaging went through the fault plane or the
-        #: transport replay (the approximate paths).
-        self._replayed_rounds = 0
-
-        self._fsim: Optional[Simulator] = None
-        self._transport = None
-        self._reliable: Optional[ReliableTransport] = None
-        self._arq: Optional[_ReplayARQ] = None
-        self._pause_injector: Optional[NodePauseInjector] = None
-        self._crash_injector: Optional[NodeCrashInjector] = None
-        self._heartbeat: Optional[HeartbeatMonitor] = None
-        self._checkpoint_store = CheckpointStore()
-        self._checkpointer: Optional[Checkpointer] = None
-        self._recovery: Optional[RecoveryManager] = None
-
-        if not self._approx:
-            # Pure flat path: the inherited engine runs every round and
-            # the result is bit-identical to engine="flat".
-            return
-
-        # A second factory over the same seed reproduces the event
-        # engine's named streams exactly ("wait-means", "chaos",
-        # "retry-jitter", injector streams); the streams the base
-        # constructor already consumed (partition/overlay/loss) are
-        # name-derived and independent, so nothing is double-drawn.
-        seeds = SeedSequenceFactory(cfg.seed)
-        self._seeds = seeds
-
-        # Per-group outer counters and afferent bookkeeping replace the
-        # flat engine's single round counter once groups step unevenly.
-        self._outer = np.zeros(k, dtype=np.int64)
-        self._gen_latest: List[Dict[int, int]] = [{} for _ in range(k)]
-        self._stale = np.zeros(k, dtype=np.int64)
-        self._dropped_while_crashed = 0
-        self._suppressed_sends = 0
-        self._last_sent: Dict[Tuple[int, int], np.ndarray] = {}
-        #: Tick clock mirroring the run loop's float-add sequence.
-        self._clock = 0.0
-        #: Per-source emission pairs: (dst, compressed slice, records),
-        #: destinations ascending (the ranker emission order).
-        self._pairs_by_src: List[List[Tuple[int, slice, int]]] = [
-            [] for _ in range(k)
-        ]
-        for g, h, csl, _idx, records in self._pairs:
-            self._pairs_by_src[g].append((h, csl, records))
-        #: Calibration cache for the non-world approx path, keyed by
-        #: the round's surviving (src, dst) send set (lossless only —
-        #: under loss every round replays its own survivor set).
-        self._partial_cal: Dict[
-            Tuple, Tuple[List[Tuple[int, int]], TrafficAccountant]
-        ] = {}
-
-        # Async rate credits (sync runs at rate 1: every group steps
-        # each round unless paused/crashed).
-        sync_wait = 0.5 * (cfg.t1 + cfg.t2)
-        if not self._async:
-            waits = [sync_wait] * k
-        elif cfg.mean_waits is not None:
-            waits = [float(w) for w in cfg.mean_waits]
-        else:
-            wait_rng = seeds.generator("wait-means")
-            waits = [
-                float(wait_rng.uniform(cfg.t1, cfg.t2)) for _ in range(k)
-            ]
-        self._mean_waits = waits
-        self._rates = np.array(
-            [self.period / max(w, MIN_MEAN_WAIT) for w in waits],
-            dtype=np.float64,
-        )
-        self._credit = np.zeros(k, dtype=np.float64)
-
-        self._shadows: List[_ShadowRanker] = [
-            _ShadowRanker(self, g) for g in range(k)
-        ]
-
-        if not self._fault_world:
-            return
-
-        retry = RetryPolicy(
-            timeout=cfg.retry_timeout,
-            backoff=cfg.retry_backoff,
-            jitter=cfg.retry_jitter,
-            max_timeout=cfg.retry_max_timeout,
-            max_retries=cfg.max_retries,
-        ) if cfg.reliable else None
-        chaos = ChaosModel(
-            duplicate_prob=cfg.duplicate_prob,
-            reorder_prob=cfg.reorder_prob,
-            reorder_max_delay=cfg.reorder_max_delay,
-            ack_loss_prob=cfg.ack_loss_prob,
-            seed=seeds.generator("chaos"),
-        ) if cfg.reliable else None
-
-        if self._arq_mode:
-            # Reliable+direct: data traffic runs the round-granular ARQ
-            # replay; only the fault-plane *processes* (if any) need the
-            # persistent simulator.
-            self._arq = _ReplayARQ(
-                loss=self._loss,
+        if cfg.reliable:
+            retry = RetryPolicy(
+                timeout=cfg.retry_timeout,
+                backoff=cfg.retry_backoff,
+                jitter=cfg.retry_jitter,
+                max_timeout=cfg.retry_max_timeout,
+                max_retries=cfg.max_retries,
+            )
+            chaos = ChaosModel(
+                duplicate_prob=cfg.duplicate_prob,
+                reorder_prob=cfg.reorder_prob,
+                reorder_max_delay=cfg.reorder_max_delay,
+                ack_loss_prob=cfg.ack_loss_prob,
+                seed=seeds.generator("chaos"),
+            )
+        if cfg.reliable and cfg.transport == "direct":
+            # Reliable+direct data traffic runs the round-granular ARQ
+            # replay (the fast path the chaos bench gates); reliable
+            # over the indirect transport keeps full live fidelity.
+            self.arq = _ReplayARQ(
+                loss=engine._loss,
                 chaos=chaos,
                 retry=retry,
-                accountant=self.accountant,
-                overlay=self.overlay,
+                accountant=engine.accountant,
+                overlay=engine.overlay,
                 jitter_rng=seeds.generator("retry-jitter"),
             )
-            if not self._plane:
-                return
-            self._fsim = Simulator()
         else:
-            # ---- the fault plane carries the real transport ----------
-            fsim = Simulator()
-            self._fsim = fsim
             transport_kwargs = {}
             if cfg.transport == "indirect":
                 transport_kwargs["aggregation_delay"] = cfg.aggregation_delay
-            # The inner transport reuses the base constructor's loss
-            # model instance, so the "loss" stream is consumed exactly
-            # once, per send attempt, in the same order as the event
-            # engine's stack.  It records into the *main* accountant at
+            # The inner transport reuses the engine's loss model
+            # instance, so the "loss" stream is consumed exactly once,
+            # per send attempt, in the same order as the event engine's
+            # stack.  It records into the *main* accountant at
             # event-simulated send and delivery times — the same counter
             # arithmetic as the event engine, ACK bytes included.
             transport = build_transport(
                 cfg.transport,
-                fsim,
-                self.overlay,
-                self.accountant,
-                loss=self._loss,
+                self.sim,
+                engine.overlay,
+                engine.accountant,
+                loss=engine._loss,
                 latency=FixedLatency(cfg.hop_delay),
                 **transport_kwargs,
             )
             if cfg.reliable:
-                shadows = self._shadows
-                self._reliable = ReliableTransport(
+                shadows = self.shadows
+                self.reliable = ReliableTransport(
                     transport,
                     retry=retry,
                     chaos=chaos,
                     alive=lambda g: not shadows[g].crashed,
                     seed=seeds.generator("retry-jitter"),
                 )
-                transport = self._reliable
-            self._transport = transport
+                transport = self.reliable
+            self.transport = transport
             transport.attach(self._on_deliver)
-        fsim = self._fsim
 
         if cfg.pause_faults > 0:
-            self._pause_injector = NodePauseInjector(
+            NodePauseInjector(
                 n_faults=cfg.pause_faults,
                 horizon=cfg.pause_horizon,
                 mean_outage=cfg.pause_mean_outage,
                 seed=seeds.generator("pause-injector"),
-            )
-            self._pause_injector.install(fsim, self._shadows)
+            ).install(self.sim, self.shadows)
         if cfg.crash_prob > 0.0:
-            self._crash_injector = NodeCrashInjector(
+            self.crash_injector = NodeCrashInjector(
                 crash_prob=cfg.crash_prob,
                 after=cfg.crash_after,
                 horizon=cfg.crash_horizon,
                 seed=seeds.generator("crash-injector"),
             )
-            self._crash_injector.install(fsim, self._shadows)
-
+            self.crash_injector.install(self.sim, self.shadows)
+        # Processes start here (sim.now == 0): identical to the event
+        # engine starting them before its simulator advances.
         if cfg.heartbeat_interval > 0.0:
-            self._heartbeat = HeartbeatMonitor(
-                fsim,
-                self._shadows,
+            self.heartbeat = HeartbeatMonitor(
+                self.sim,
+                self.shadows,
                 interval=cfg.heartbeat_interval,
                 miss_threshold=cfg.heartbeat_miss_threshold,
             )
-        if cfg.checkpoint_interval > 0.0:
-            self._checkpointer = Checkpointer(
-                fsim,
-                self._shadows,
-                self._checkpoint_store,
-                interval=cfg.checkpoint_interval,
-            )
         if cfg.recovery:
-            self._recovery = RecoveryManager(
-                fsim,
-                self._shadows,
-                self._checkpoint_store,
-                self._make_replacement,
+            self.recovery = RecoveryManager(
+                self.sim, self.shadows, self.store, self._make_replacement
             )
-            assert self._heartbeat is not None  # enforced by the config
-            self._heartbeat.add_death_callback(self._recovery.on_death)
-        # Started here (fsim.now == 0) rather than in run(): identical
-        # to the event engine starting them before its sim advances.
-        if self._heartbeat is not None:
-            self._heartbeat.start()
-        if self._checkpointer is not None:
-            self._checkpointer.start()
+            assert self.heartbeat is not None  # enforced by the config
+            self.heartbeat.add_death_callback(self.recovery.on_death)
+        if self.heartbeat is not None:
+            self.heartbeat.start()
+        if cfg.checkpoint_interval > 0.0:
+            Checkpointer(
+                self.sim,
+                self.shadows,
+                self.store,
+                interval=cfg.checkpoint_interval,
+            ).start()
 
-    # ------------------------------------------------------------------
-    # Fault-plane callbacks
-    # ------------------------------------------------------------------
     def _make_replacement(self, g: int, epoch: int) -> _ShadowRanker:
         """Recovery factory: reset group ``g`` to blank-node state.
 
         Mirrors the event engine's fresh :class:`DPRNode` (zero ranks,
-        empty afferent memory, zeroed counters); the recovery manager
-        restores the latest checkpoint on top, if one exists.
+        empty afferent memory, zeroed counters, nothing sent yet); the
+        recovery manager restores the latest checkpoint on top, if one
+        exists.
         """
-        sl = self._slices[g]
-        self._r[sl] = 0.0
-        self._x[sl] = 0.0
-        self._latest[g] = {}
-        self._gen_latest[g] = {}
-        self._outer[g] = 0
-        self._inner_sweeps[g] = 0
-        self._stale[g] = 0
-        self._last_delta[g] = np.inf
-        self._credit[g] = 0.0
-        self._mail.discard(g)
-        if self.config.suppress_tol > 0.0:
-            # A fresh ranker has sent nothing yet.
-            for h, _csl, _records in self._pairs_by_src[g]:
-                self._last_sent.pop((g, h), None)
-        return _ShadowRanker(self, g)
-
-    def _apply_values(self, src: int, dst: int, values, generation: int) -> None:
-        """DPRNode.receive semantics over flat state (gen check, first-
-        arrival summation order, mail flag)."""
-        gens = self._gen_latest[dst]
-        prev_gen = gens.get(src)
-        if prev_gen is not None and generation <= prev_gen:
-            self._stale[dst] += 1
-            return
-        gens[src] = generation
-        held = self._latest[dst].get(src)
-        if held is None:
-            # First arrival fixes this source's position in the
-            # destination's re-summation order for good (dict order).
-            self._latest[dst][src] = np.array(values, dtype=np.float64)
-        else:
-            np.copyto(held, values)
-        self._mail.add(dst)
+        eng = self.engine
+        sl = eng._slices[g]
+        eng._r[sl] = 0.0
+        eng._x[sl] = 0.0
+        eng._latest[g] = {}
+        eng._gen_latest[g] = {}
+        eng._outer[g] = 0
+        eng._inner_sweeps[g] = 0
+        eng._stale[g] = 0
+        eng._last_delta[g] = np.inf
+        eng._credit[g] = 0.0
+        eng._mail.discard(g)
+        for h, _csl, _idx, _records in eng._pairs_by_src[g]:
+            eng._last_sent.pop((g, h), None)
+        return _ShadowRanker(eng, g)
 
     def _on_deliver(self, dst: int, update: ScoreUpdate) -> None:
         """Transport upcall: DPRNode.receive semantics over flat state."""
-        shadow = self._shadows[dst]
-        if self._reliable is None and shadow.crashed:
+        if self.reliable is None and self.shadows[dst].crashed:
             # Plain transports deliver into the dead group's ranker,
             # which drops on the floor (PageRanker.receive); the
             # reliable wrapper's alive-oracle already dead-dropped.
-            self._dropped_while_crashed += 1
             return
-        self._apply_values(
+        self.engine._apply(
             update.src_group, dst, update.values, update.generation
         )
 
-    # ------------------------------------------------------------------
-    # Round execution
-    # ------------------------------------------------------------------
-    def _stepping_groups(self) -> List[int]:
-        """Groups that step this round: due, alive, and unpaused."""
-        k = self.config.n_groups
-        if self._async:
-            np.add(self._credit, self._rates, out=self._credit)
-            due = self._credit >= 1.0
-            # Due groups consume their credit whether or not they are
-            # eligible — a paused event ranker burns its wakes too.
-            self._credit[due] -= 1.0
-            np.clip(self._credit, 0.0, 1.0, out=self._credit)
-        out: List[int] = []
-        for g in range(k):
-            if self._async and not due[g]:
-                continue
-            shadow = self._shadows[g]
-            if shadow.crashed or shadow.paused:
-                continue
-            out.append(g)
-        return out
-
-    def _compute_masked(self, stepping: List[int]) -> None:
-        """Step each eligible group exactly as DPRNode.step would."""
-        cfg = self.config
-        for g in stepping:
-            sl = self._slices[g]
-            if sl.stop == sl.start:
-                self._last_delta[g] = 0.0
-                self._outer[g] += 1
-                continue
-            if g in self._mail:
-                # Refresh X: re-sum the newest compressed afferent
-                # vectors in first-arrival order (same elementwise adds
-                # as DPRNode._refresh; skipped rows only ever add +0.0).
-                xh = self._x[sl]
-                xh[:] = 0.0
-                for src, vec in self._latest[g].items():
-                    xh[self._pair_idx[(src, g)]] += vec
-                self._mail.discard(g)
-            r_g = self._r[sl]
-            f_g = self._fbuf[: sl.stop - sl.start]
-            np.add(self._beta_e[sl], self._x[sl], out=f_g)
-            ws = self._workspaces[g]
-            if cfg.algorithm == "dpr2":
-                delta = ws.sweep_delta(
-                    self.system.diag(g), r_g, f_g, out=ws._ping
-                )
-                np.copyto(r_g, ws._ping)
-                self._last_delta[g] = float(delta)
-                self._inner_sweeps[g] += 1
-            else:
-                if cfg.inner_solver == "gauss_seidel":
-                    from repro.linalg.acceleration import gauss_seidel_solve
-
-                    res = gauss_seidel_solve(
-                        self.system.diag(g), f_g, x0=r_g,
-                        tol=cfg.local_tol, max_iter=cfg.max_inner,
-                    )
-                else:
-                    res = jacobi_solve(
-                        self.system.diag(g), f_g, x0=r_g,
-                        tol=cfg.local_tol, max_iter=cfg.max_inner,
-                        workspace=ws,
-                    )
-                self._inner_sweeps[g] += res.iterations
-                sc = ws._scratch
-                np.subtract(res.x, r_g, out=sc)
-                np.abs(sc, out=sc)
-                self._last_delta[g] = float(sc.sum())
-                np.copyto(r_g, res.x)
-            self._outer[g] += 1
-
-    def _emit_pairs(self, g: int) -> List[Tuple[int, slice, int]]:
-        """Group ``g``'s non-suppressed sends this round."""
-        cfg = self.config
-        out: List[Tuple[int, slice, int]] = []
-        for h, csl, records in self._pairs_by_src[g]:
-            seg = self._y[csl]
-            if cfg.suppress_tol > 0.0:
-                prev = self._last_sent.get((g, h))
-                if (
-                    prev is not None
-                    and float(np.abs(seg - prev).sum()) <= cfg.suppress_tol
-                ):
-                    # Compressed diff == dense diff: structurally-zero
-                    # rows are +0.0 on both sides.
-                    self._suppressed_sends += 1
-                    continue
-                self._last_sent[(g, h)] = seg.copy()
-            out.append((h, csl, records))
-        return out
-
-    def _emit_world(self, stepping: List[int], t: float) -> None:
-        """Send this round's updates through the fault plane.
-
-        Under a codec each pair's compressed segment is encoded first:
-        the update carries a copy of the reconstruction mirror (the
-        receiver's exact post-frame state, safe against retransmission
-        because every resend ships the same object) with the frame's
-        calibrated ``wire_bytes``; codec-suppressed pairs send nothing.
-        """
-        transport = self._transport
-        for g in stepping:
-            gen = int(self._outer[g])
-            updates = []
-            for h, csl, records in self._emit_pairs(g):
-                wire_bytes = -1
-                if self._codec is not None:
-                    frame = self._codec.encode(
-                        g, h, self._y[csl],
-                        index_map=self._pair_idx[(g, h)],
-                    )
-                    if frame is None:
-                        self._suppressed_sends += 1
-                        continue
-                    values = frame.values.copy()
-                    wire_bytes = frame.wire_bytes
-                else:
-                    # Copied: self._y is reused next round, and the ARQ
-                    # layer must retransmit the *original* payload.
-                    values = self._y[csl].copy()
-                updates.append(
-                    ScoreUpdate(
-                        src_group=g,
-                        dst_group=h,
-                        values=values,
-                        n_link_records=records,
-                        generation=gen,
-                        sent_at=t,
-                        wire_bytes=wire_bytes,
-                    )
-                )
-            if updates:
-                transport.send_updates(g, updates)
-
-    def _emit_arq(self, stepping: List[int]) -> None:
-        """Reliable+direct fast path: per-message ARQ protocol replay.
-
-        Payloads that reach a live destination apply in the sending
-        round (segments straight from ``self._y``, no per-message
-        copies — the chain resolves before the buffer is reused).
-        """
-        arq = self._arq
-        shadows = self._shadows
-        for g in stepping:
-            gen = int(self._outer[g])
-            for h, csl, records in self._emit_pairs(g):
-                alive = not shadows[h].crashed
-                paper = records * LINK_RECORD_BYTES
-                if self._codec is not None:
-                    frame = self._codec.encode(
-                        g, h, self._y[csl],
-                        index_map=self._pair_idx[(g, h)],
-                    )
-                    if frame is None:
-                        self._suppressed_sends += 1
-                        continue
-                    if arq.send(
-                        g, h, frame.wire_bytes, alive, paper_bytes=paper
-                    ):
-                        # _apply_values copies immediately, so the
-                        # mirror view is safe to hand over.
-                        self._apply_values(g, h, frame.values, gen)
-                    continue
-                if arq.send(g, h, paper, alive):
-                    self._apply_values(g, h, self._y[csl], gen)
-
-    def _emit_replay(self, stepping: List[int]) -> None:
-        """Faultless approx path: loss draws + calibration-style replay.
-
-        Used when the round set is perturbed only by the async credit
-        mask and/or suppression: the surviving sends are replayed
-        through the real transport on a scratch simulator (exact
-        per-round traffic, merged via ``TrafficAccountant.merge``) and
-        the segments are applied in the observed delivery order.
-        """
-        sent: List[Tuple] = []
-        for g in stepping:
-            for h, csl, records in self._emit_pairs(g):
-                if self._codec is not None:
-                    # Codec configs are lossless by validation; the
-                    # frame size rides as the send's fourth element.
-                    frame = self._codec.encode(
-                        g, h, self._y[csl],
-                        index_map=self._pair_idx[(g, h)],
-                    )
-                    if frame is None:
-                        self._suppressed_sends += 1
-                        continue
-                    sent.append((g, h, records, frame.wire_bytes))
-                    continue
-                if not self._loss.delivered(g, h):
-                    self.dropped_updates += 1
-                    continue
-                sent.append((g, h, records))
-        # Per-round frame sizes vary under a codec, so its rounds never
-        # reuse a cached calibration.
-        lossless = isinstance(self._loss, NoLoss) and self._codec is None
-        key = tuple((s[0], s[1]) for s in sent) if lossless else None
-        cached = self._partial_cal.get(key) if key is not None else None
-        if cached is None:
-            cached = _replay_transport_round(self.config, self.overlay, sent)
-            if key is not None:
-                self._partial_cal[key] = cached
-        order, acc = cached
-        self.accountant.merge(acc)
-        for src, dst in order:
-            if self._codec is not None:
-                seg = self._codec.recon(src, dst)
-            else:
-                seg = self._y[self._pair_cslice[(src, dst)]]
-            held = self._latest[dst].get(src)
-            if held is None:
-                self._latest[dst][src] = seg.copy()
-            else:
-                np.copyto(held, seg)
-            self._mail.add(dst)
-
-    def _round(self) -> None:
-        if not self._approx:
-            super()._round()
-            self._fast_rounds += 1
-            return
-        # Same float-add sequence as the run loop's tick clock, so the
-        # fault plane's "now" is bitwise the loop's t at every round.
-        self._clock += self.period
-        t = self._clock
-        if self._fsim is not None:
-            # Everything scheduled before this tick lands first:
-            # deliveries, crashes, pauses, heartbeats, checkpoints,
-            # takeovers, ACK timeouts — in event order.
-            self._fsim.run(until=t)
-        stepping = self._stepping_groups()
-        self._compute_masked(stepping)
-        csr_matvec_into(self._cut, self._r, self._y)
-        if self._arq is not None:
-            self._emit_arq(stepping)
-        elif self._fsim is not None:
-            self._emit_world(stepping, t)
-            # Zero-delay deliveries (hop_delay=0) land at t, exactly as
-            # the event simulator keeps draining same-time events.
-            self._fsim.run(until=t)
-        else:
-            self._emit_replay(stepping)
-        self._rounds += 1
-        self._replayed_rounds += 1
-
-    # ------------------------------------------------------------------
-    # Run-loop hooks (see SynchronousEngine)
-    # ------------------------------------------------------------------
-    def _pre_sample(self, t: float) -> None:
-        # The event engine's monitor samples after every event strictly
-        # before t has been processed; drain the fault plane so traffic
-        # snapshots and delivered state agree.  Idempotent with the
-        # round's own advance (Simulator.run(until=now) is a no-op).
-        if self._approx and self._fsim is not None:
-            self._fsim.run(until=t)
-
-    def _finish(self, t: float) -> None:
-        # Drain in-flight fault-plane work to the run's final time, as
-        # the event engine runs its one simulator to the stop time.
-        if self._approx and self._fsim is not None:
-            self._fsim.run(until=t)
-
-    def _outer_progress(self) -> Tuple[int, float]:
-        if not self._approx:
-            return super()._outer_progress()
-        if not self._outer.size:
-            return 0, 0.0
-        return int(self._outer.max()), float(self._outer.mean())
-
-    def _outer_vector(self) -> np.ndarray:
-        if not self._approx:
-            return super()._outer_vector()
-        return self._outer.copy()
-
-    def _quiescent_now(self, quiescence_delta: float) -> bool:
-        if not self._approx:
-            return super()._quiescent_now(quiescence_delta)
-        # The monitor's per-node rule: every group has stepped at least
-        # once and its last step delta is at or below the threshold.
-        return bool(
-            (self._outer > 0).all()
-            and (self._last_delta <= quiescence_delta).all()
-        )
-
-    def _dropped_total(self) -> int:
-        if self._transport is not None:
-            # World mode: origin loss fires inside the real transport.
-            return int(self._transport.dropped_updates)
-        if self._arq is not None:
-            # ARQ replay: origin loss re-rolls per wire attempt.
-            return self._arq.dropped_updates
-        return self.dropped_updates
-
-    def _extra_result_fields(self, now: float) -> Dict:
-        fields: Dict = {
-            "fidelity": "approximate" if self._approx else "exact",
-            "fast_rounds": self._fast_rounds,
-            "replayed_rounds": self._replayed_rounds,
-        }
-        rel = self._reliable if self._reliable is not None else self._arq
+    def result_fields(self, now: float) -> Dict:
+        """Loss, reliability and fault counters for the RunResult."""
+        # Origin loss fires inside the live transport, or re-rolls per
+        # wire attempt in the ARQ replay.
+        wire = self.transport if self.transport is not None else self.arq
+        fields: Dict = {"dropped_updates": int(wire.dropped_updates)}
+        rel = self.reliable if self.reliable is not None else self.arq
         if rel is not None:
             fields.update(
                 retransmits=rel.retransmits,
@@ -960,21 +494,16 @@ class HybridEngine(SynchronousEngine):
                 dead_drops=rel.dead_drops,
                 acks_lost=rel.acks_lost,
             )
-        if self._fault_world:
-            fields["crashed_groups"] = (
-                self._crash_injector.fired(now)
-                if self._crash_injector is not None
-                else sum(1 for s in self._shadows if s.crashed)
-            )
-            fields["deaths_detected"] = (
-                self._heartbeat.deaths_detected
-                if self._heartbeat is not None
-                else 0
-            )
-            fields["takeovers"] = (
-                self._recovery.takeover_count
-                if self._recovery is not None
-                else 0
-            )
-            fields["checkpoint_saves"] = self._checkpoint_store.saves
+        fields["crashed_groups"] = (
+            self.crash_injector.fired(now)
+            if self.crash_injector is not None
+            else sum(1 for s in self.shadows if s.crashed)
+        )
+        fields["deaths_detected"] = (
+            self.heartbeat.deaths_detected if self.heartbeat is not None else 0
+        )
+        fields["takeovers"] = (
+            self.recovery.takeover_count if self.recovery is not None else 0
+        )
+        fields["checkpoint_saves"] = self.store.saves
         return fields

@@ -348,7 +348,7 @@ def compression_point(
             partition_strategy="url",
             t1=3.0,
             t2=3.0,
-            send_threshold=float(tol),
+            suppress_tol=float(tol),
             seed=seed,
             reference=reference,
             max_time=max_time,

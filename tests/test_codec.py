@@ -284,7 +284,7 @@ class TestCodecConfig:
 
     def test_codec_excludes_send_threshold(self):
         with pytest.raises(ValueError, match="mutually exclusive"):
-            DistributedConfig(codec="delta", send_threshold=1e-6)
+            DistributedConfig(codec="delta", suppress_tol=1e-6)
 
     def test_codec_excludes_crash_faults(self):
         with pytest.raises(ValueError, match="crash"):
@@ -299,14 +299,6 @@ class TestCodecConfig:
                 comm_epsilon=1e-4,
             )
 
-    def test_send_threshold_mirrors_suppress_tol(self):
-        cfg = DistributedConfig(send_threshold=1e-5)
-        assert cfg.suppress_tol == 1e-5
-        cfg = DistributedConfig(suppress_tol=1e-5)
-        assert cfg.send_threshold == 1e-5
-        with pytest.raises(ValueError, match="same knob"):
-            DistributedConfig(send_threshold=1e-5, suppress_tol=1e-6)
-
 
 @pytest.fixture(scope="module")
 def small_world():
@@ -315,8 +307,7 @@ def small_world():
 
 
 def _small_run(graph, engine, codec, epsilon, **kw):
-    return run_distributed_pagerank(
-        graph,
+    params = dict(
         n_groups=4,
         engine=engine,
         algorithm="dpr2",
@@ -331,8 +322,9 @@ def _small_run(graph, engine, codec, epsilon, **kw):
         codec=codec,
         comm_epsilon=epsilon,
         max_time=152.5,  # 30 rounds
-        **kw,
     )
+    params.update(kw)
+    return run_distributed_pagerank(graph, **params)
 
 
 class TestEndToEnd:
@@ -364,6 +356,43 @@ class TestEndToEnd:
         assert deviation <= q16.codec_stats["certified_bound"]
         assert q16.codec_stats["residual_mass"] <= 1e-4 + 1e-12
         assert q16.traffic.data_bytes < base.traffic.data_bytes
+
+    #: One config per hybrid delivery back-end: async scratch replay,
+    #: pause faults over the live direct and indirect transports, the
+    #: reliable+direct ARQ replay, and the live reliable+indirect stack.
+    HYBRID_BACKENDS = {
+        "async-replay": dict(
+            schedule="async", mean_waits=[5.0, 6.0, 8.0, 11.0]
+        ),
+        "pause-direct": dict(
+            pause_faults=3, pause_horizon=100.0, pause_mean_outage=12.0
+        ),
+        "pause-indirect": dict(
+            transport="indirect",
+            pause_faults=3,
+            pause_horizon=100.0,
+            pause_mean_outage=12.0,
+        ),
+        "arq": dict(reliable=True),
+        "reliable-indirect": dict(reliable=True, transport="indirect"),
+    }
+
+    @pytest.mark.parametrize("backend", sorted(HYBRID_BACKENDS))
+    def test_lossless_delta_on_every_hybrid_backend(self, small_world, backend):
+        kw = self.HYBRID_BACKENDS[backend]
+        base = _small_run(small_world, "hybrid", "none", 0.0, **kw)
+        coded = _small_run(small_world, "hybrid", "delta", 0.0, **kw)
+        assert coded.fidelity == "approximate"
+        assert coded.ranks.tobytes() == base.ranks.tobytes()
+        assert coded.codec_stats["frames"] > 0
+        assert coded.traffic.data_bytes < base.traffic.data_bytes
+        if kw.get("schedule") == "async":
+            return
+        # Synchronous fault configs: the hybrid back-end ships exactly
+        # the frames the event engine ships, with the same ranks.
+        event = _small_run(small_world, "event", "delta", 0.0, **kw)
+        assert coded.ranks.tobytes() == event.ranks.tobytes()
+        assert coded.codec_stats["frames"] == event.codec_stats["frames"]
 
     def test_mc_token_frames_preserve_ranks(self, small_world):
         kw = dict(walks_per_page=8)
