@@ -2,9 +2,12 @@
 
 :func:`run_distributed_pagerank` is the package's main entry point: it
 wires graph → partition → :class:`~repro.core.open_system.GroupSystem`
-→ overlay → transport → rankers → monitor, runs the event simulation
+→ overlay → fault stack → rankers → monitor, runs the event simulation
 until convergence (or a time budget), and returns a
-:class:`RunResult` carrying everything the paper's figures plot.
+:class:`RunResult` carrying everything the paper's figures plot.  The
+transport (optionally reliable), the fault processes and their
+counters come from :class:`~repro.core.faults.FaultPlane`, the one
+fault stack the round engines build too.
 
 The experiment parameters mirror §5 exactly: ``K`` page groups, wait
 means drawn from ``[T1, T2]``, per-node exponential waits, delivery
@@ -24,24 +27,14 @@ import numpy as np
 from repro.core.capabilities import ENGINES, resolve_engine, validate_config
 from repro.core.convergence import ConvergenceTrace, Monitor
 from repro.core.dpr import DPRNode
+from repro.core.faults import FaultPlane
 from repro.core.open_system import GroupSystem
 from repro.core.ranker import MIN_MEAN_WAIT, PageRanker
-from repro.core.recovery import Checkpointer, CheckpointStore, RecoveryManager
 from repro.graph.partition import Partition, make_partition
 from repro.graph.webgraph import WebGraph
 from repro.net.bandwidth import TrafficAccountant, TrafficSnapshot
-from repro.net.failures import (
-    BernoulliLoss,
-    ChaosModel,
-    NodeCrashInjector,
-    NodePauseInjector,
-    NoLoss,
-)
-from repro.net.heartbeat import HeartbeatMonitor
-from repro.net.latency import FixedLatency
-from repro.net.reliable import ReliableTransport, RetryPolicy
+from repro.net.failures import BernoulliLoss, NodePauseInjector, NoLoss
 from repro.net.simulator import Simulator
-from repro.net.transport import build_transport
 from repro.overlay import build_overlay
 from repro.utils.rng import SeedSequenceFactory
 from repro.utils.validation import (
@@ -576,42 +569,17 @@ class DistributedRun:
             if config.delivery_prob >= 1.0
             else BernoulliLoss(config.delivery_prob, seed=seeds.generator("loss"))
         )
-        transport_kwargs = {}
-        if config.transport == "indirect":
-            transport_kwargs["aggregation_delay"] = config.aggregation_delay
-        self.transport = build_transport(
-            config.transport,
-            self.sim,
-            self.overlay,
-            self.accountant,
+        #: The run's one fault stack: transport (optionally reliable),
+        #: fault processes, and their counters.
+        self.faults = FaultPlane(
+            config,
+            seeds,
+            overlay=self.overlay,
+            accountant=self.accountant,
             loss=loss,
-            latency=FixedLatency(config.hop_delay),
-            **transport_kwargs,
+            sim=self.sim,
         )
-        self.reliable: Optional[ReliableTransport] = None
-        if config.reliable:
-            chaos = ChaosModel(
-                duplicate_prob=config.duplicate_prob,
-                reorder_prob=config.reorder_prob,
-                reorder_max_delay=config.reorder_max_delay,
-                ack_loss_prob=config.ack_loss_prob,
-                seed=seeds.generator("chaos"),
-            )
-            self.reliable = ReliableTransport(
-                self.transport,
-                retry=RetryPolicy(
-                    timeout=config.retry_timeout,
-                    backoff=config.retry_backoff,
-                    jitter=config.retry_jitter,
-                    max_timeout=config.retry_max_timeout,
-                    max_retries=config.max_retries,
-                ),
-                chaos=chaos,
-                alive=lambda g: not self.rankers[g].crashed,
-                seed=seeds.generator("retry-jitter"),
-            )
-            # Rankers (and everything else) speak to the wrapper.
-            self.transport = self.reliable
+        self.transport = self.faults.transport
 
         wait_rng = seeds.generator("wait-means")
         self._seeds = seeds
@@ -630,57 +598,13 @@ class DistributedRun:
                 mean_wait = float(wait_rng.uniform(config.t1, config.t2))
             self._mean_waits.append(mean_wait)
             self.rankers.append(self._make_ranker(g, seeds.generator(f"wait/{g}")))
-        self.transport.attach(self._deliver)
         self.monitor: Optional[Monitor] = None
-
-        # -- fault injection ------------------------------------------
-        self.pause_injector: Optional[NodePauseInjector] = None
-        if config.pause_faults > 0:
-            self.pause_injector = NodePauseInjector(
-                n_faults=config.pause_faults,
-                horizon=config.pause_horizon,
-                mean_outage=config.pause_mean_outage,
-                seed=seeds.generator("pause-injector"),
-            )
-            self.pause_injector.install(self.sim, self.rankers)
-        self.crash_injector: Optional[NodeCrashInjector] = None
-        if config.crash_prob > 0.0:
-            self.crash_injector = NodeCrashInjector(
-                crash_prob=config.crash_prob,
-                after=config.crash_after,
-                horizon=config.crash_horizon,
-                seed=seeds.generator("crash-injector"),
-            )
-            self.crash_injector.install(self.sim, self.rankers)
-
-        # -- failure detection, checkpointing, takeover ---------------
-        self.heartbeat: Optional[HeartbeatMonitor] = None
-        if config.heartbeat_interval > 0.0:
-            self.heartbeat = HeartbeatMonitor(
-                self.sim,
-                self.rankers,
-                interval=config.heartbeat_interval,
-                miss_threshold=config.heartbeat_miss_threshold,
-            )
-        self.checkpoint_store = CheckpointStore()
-        self.checkpointer: Optional[Checkpointer] = None
-        if config.checkpoint_interval > 0.0:
-            self.checkpointer = Checkpointer(
-                self.sim,
-                self.rankers,
-                self.checkpoint_store,
-                interval=config.checkpoint_interval,
-            )
-        self.recovery: Optional[RecoveryManager] = None
-        if config.recovery:
-            self.recovery = RecoveryManager(
-                self.sim,
-                self.rankers,
-                self.checkpoint_store,
-                self._make_replacement,
-            )
-            assert self.heartbeat is not None  # enforced by the config
-            self.heartbeat.add_death_callback(self.recovery.on_death)
+        self.faults.install(
+            self.rankers,
+            deliver=self._deliver,
+            make_replacement=self._make_replacement,
+        )
+        self.recovery = self.faults.recovery
 
     # ------------------------------------------------------------------
     def _make_ranker(self, g: int, seed) -> PageRanker:
@@ -776,10 +700,7 @@ class DistributedRun:
         self.monitor.start()
         for ranker in self.rankers:
             ranker.start()
-        if self.heartbeat is not None:
-            self.heartbeat.start()
-        if self.checkpointer is not None:
-            self.checkpointer.start()
+        self.faults.start()
         monitor = self.monitor
         stop = None
         if target_relative_error is not None or quiescence_delta is not None:
@@ -787,12 +708,8 @@ class DistributedRun:
                 return monitor.reached_target or monitor.reached_quiescence
         self.sim.run(until=max_time, stop_condition=stop)
         self.monitor.stop()
-        if self.heartbeat is not None:
-            self.heartbeat.stop()
-        if self.checkpointer is not None:
-            self.checkpointer.stop()
+        self.faults.stop()
 
-        rel = self.reliable
         ranks = self.monitor.current_ranks()
         return assemble_run_result(
             ranks=ranks,
@@ -808,29 +725,10 @@ class DistributedRun:
             ),
             accountant=self.accountant,
             now=self.sim.now,
-            dropped_updates=self.transport.dropped_updates,
             quiescent=self.monitor.reached_quiescence,
             quiescence_time=self.monitor.quiescence_time,
             config=cfg,
-            retransmits=rel.retransmits if rel is not None else 0,
-            gave_up=rel.gave_up if rel is not None else 0,
-            dup_drops=rel.dup_drops if rel is not None else 0,
-            dead_drops=rel.dead_drops if rel is not None else 0,
-            acks_lost=rel.acks_lost if rel is not None else 0,
-            # Recovered groups hold a live replacement, so count fired
-            # injector crashes rather than currently-crashed slots.
-            crashed_groups=(
-                self.crash_injector.fired(self.sim.now)
-                if self.crash_injector is not None
-                else sum(1 for rk in self.rankers if rk.crashed)
-            ),
-            deaths_detected=(
-                self.heartbeat.deaths_detected if self.heartbeat is not None else 0
-            ),
-            takeovers=(
-                self.recovery.takeover_count if self.recovery is not None else 0
-            ),
-            checkpoint_saves=self.checkpoint_store.saves,
+            **self.faults.result_fields(self.sim.now),
             codec_stats=(
                 {
                     **self.codec.stats(),

@@ -10,10 +10,12 @@ linear algebra.  :class:`SynchronousEngine` runs it, for both
 ``engine="flat"`` and ``engine="hybrid"``.  Each round at tick ``t``
 does four things in order:
 
-1. **advance the fault plane** (only when the config has one — see
-   :mod:`repro.core.hybrid`): crashes, pauses, heartbeat sweeps,
-   checkpoints, takeovers, retransmissions and in-flight deliveries up
-   to ``t`` land on the same timeline the event engine would use;
+1. **advance the fault plane** (only when the config has one — the
+   one fault stack of :mod:`repro.core.faults`, built over shadow
+   rankers by :mod:`repro.core.hybrid`): crashes, pauses, heartbeat
+   sweeps, checkpoints, takeovers, retransmissions and in-flight
+   deliveries up to ``t`` land on the same timeline the event engine
+   would use;
 2. **pick the groups that step**: all of them, unless the async rate
    credit, a pause or a crash masks some;
 3. **compute**: one per-group loop mirroring
@@ -38,7 +40,8 @@ does four things in order:
      observed delivery order;
    * *ARQ replay* (reliable + direct): each send's whole ARQ
      conversation resolves at its sending round
-     (:class:`~repro.core.hybrid._ReplayARQ`);
+     (:class:`~repro.core.faults._ReplayARQ`, driving the same
+     :class:`~repro.net.reliable.ARQRules` as the reliable transport);
    * the fault plane's *live transport*: real update objects through
      the real (optionally reliable) transport on the persistent
      simulator.
@@ -607,9 +610,9 @@ class SynchronousEngine(_RoundEngine):
         self._fsim: Optional[Simulator] = None
         self._arq = None
         if _PLANE_FEATURES.intersection(requested_features(config)):
-            from repro.core.hybrid import FaultPlane
+            from repro.core.hybrid import build_fault_plane
 
-            self._plane = FaultPlane(self, seeds)
+            self._plane = build_fault_plane(self, seeds)
             self._fsim = self._plane.sim
             self._arq = self._plane.arq
         self._approx = bool(
@@ -777,7 +780,7 @@ class SynchronousEngine(_RoundEngine):
             np.clip(self._credit, 0.0, 1.0, out=self._credit)
             groups = np.flatnonzero(due).tolist()
         if self._plane is not None:
-            shadows = self._plane.shadows
+            shadows = self._plane.rankers
             groups = [
                 g for g in groups
                 if not (shadows[g].crashed or shadows[g].paused)
@@ -915,16 +918,11 @@ class SynchronousEngine(_RoundEngine):
     def _deliver_arq(self, stepping, t: float) -> None:
         """ARQ replay: each send's ARQ chain resolves in this round;
         payloads reaching a live destination apply immediately."""
-        shadows = self._plane.shadows
         sends = self._sends(stepping, draw_loss=False)
         for g, h, records, wire_bytes, values, gen in sends:
             paper = records * LINK_RECORD_BYTES
             if self._arq.send(
-                g,
-                h,
-                paper if wire_bytes < 0 else wire_bytes,
-                not shadows[h].crashed,
-                paper_bytes=paper,
+                g, h, paper if wire_bytes < 0 else wire_bytes, paper_bytes=paper
             ):
                 self._apply(g, h, values, gen)
 

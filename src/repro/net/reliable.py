@@ -21,6 +21,15 @@ ARQ layer:
   attempt (each attempt is an independent Bernoulli trial, exactly the
   paper's ``p`` semantics).
 
+The rules themselves — sequence numbers, the receive rule (dead
+destination: swallow, no ACK; duplicate: drop; every live arrival:
+ACK), the retry-or-give-up rule and the counters — live once, in
+:class:`ARQRules`.  Two drivers run them: :class:`ReliableTransport`
+spreads each conversation along simulator timers, and the round
+engine's ARQ replay (:mod:`repro.core.faults`) resolves it in one
+tight loop at the sending round.  Neither re-implements a rule, so
+their retransmit, dedup and give-up semantics cannot drift apart.
+
 The combination is *at-least-once* delivery with an *idempotent*
 receiver, which is sufficient for DPR correctness: a
 :class:`~repro.net.message.ScoreUpdate` **replaces** the per-source
@@ -60,7 +69,7 @@ from repro.net.transport import Transport
 from repro.utils.rng import as_generator, RngLike
 from repro.utils.validation import check_non_negative
 
-__all__ = ["ReliableTransport", "RetryPolicy"]
+__all__ = ["ARQRules", "ReliableTransport", "RetryPolicy"]
 
 #: (src_group, dst_group, seq) — the identity of one sequenced send.
 _Key = Tuple[int, int, int]
@@ -125,15 +134,18 @@ class _Pending:
         self.timer: Optional[EventHandle] = None
 
 
-class ReliableTransport(Transport):
-    """ACK/retry/dedup wrapper around a concrete transport.
+class ARQRules:
+    """The ARQ state machine both drivers share.
+
+    Owns the per-pair sequence numbers, the receiver's dedup memory,
+    the sender's pending table and every reliability counter, and
+    decides each step of a conversation; the driver only decides
+    *when* a step happens.
 
     Parameters
     ----------
-    inner:
-        The transport actually moving bytes (direct or indirect).  The
-        wrapper installs itself as the inner deliver upcall; callers
-        must :meth:`attach` to the *wrapper*, never to ``inner``.
+    accountant:
+        Charged for every ACK a live receiver sends.
     retry:
         The timeout/backoff schedule (default :class:`RetryPolicy`).
     chaos:
@@ -145,48 +157,33 @@ class ReliableTransport(Transport):
         receive.  A dead (crashed) group neither delivers nor ACKs —
         the message is simply swallowed, as a dead machine would.
     seed:
-        Private stream for retry jitter.  Only consumed when a timeout
-        actually fires, so fault-free runs draw nothing.
+        Private stream for retry jitter.
     """
 
     def __init__(
         self,
-        inner: Transport,
         *,
+        accountant,
         retry: Optional[RetryPolicy] = None,
         chaos: Optional[ChaosModel] = None,
         alive: Optional[Callable[[int], bool]] = None,
         seed: RngLike = 0,
     ):
-        # ``inner`` must exist before Transport.__init__ runs: the base
-        # constructor assigns ``dropped_updates = 0``, which our property
-        # setter routes to the inner transport's counter.
-        self.inner = inner
-        super().__init__(
-            inner.sim,
-            inner.overlay,
-            inner.accountant,
-            loss=inner.loss,
-            latency=inner.latency,
-        )
+        self.accountant = accountant
         self.retry = retry if retry is not None else RetryPolicy()
         self.chaos = chaos if chaos is not None else ChaosModel()
         self.alive = alive
         self._rng = as_generator(seed)
-        self.inner.attach(self._on_inner_deliver)
-
-        # Sender side ---------------------------------------------------
         self._next_seq: Dict[Tuple[int, int], int] = {}
         self._pending: Dict[_Key, _Pending] = {}
-        #: Retransmissions performed (timer fired, budget left).
+        #: Receiver dedup memory: delivered seqs per (src, dst) pair.
+        self._delivered_seqs: Dict[Tuple[int, int], Set[int]] = {}
+        #: Retransmissions performed (ACK wait expired, budget left).
         self.retransmits = 0
         #: Sends abandoned after exhausting the retry budget.
         self.gave_up = 0
         #: ACKs that arrived for already-cleared sends (late/duplicate).
         self.stale_acks = 0
-
-        # Receiver side -------------------------------------------------
-        self._delivered_seqs: Dict[Tuple[int, int], Set[int]] = {}
         #: Duplicate deliveries suppressed by the (src, dst, seq) dedup.
         self.dup_drops = 0
         #: Updates swallowed because the destination group was dead.
@@ -196,142 +193,76 @@ class ReliableTransport(Transport):
         #: ACKs destroyed in transit by the chaos model.
         self.acks_lost = 0
 
-    # ------------------------------------------------------------------
-    # Proxied diagnostics: origin loss happens inside the inner
-    # transport (once per attempt), so its counter is authoritative.
-    # ------------------------------------------------------------------
-    @property
-    def dropped_updates(self) -> int:  # type: ignore[override]
-        return self.inner.dropped_updates
-
-    @dropped_updates.setter
-    def dropped_updates(self, value: int) -> None:
-        # Transport.__init__ assigns 0; route it to the inner counter.
-        self.inner.dropped_updates = value
-
     @property
     def in_flight(self) -> int:
         """Currently unacknowledged sends."""
         return len(self._pending)
 
-    # ------------------------------------------------------------------
-    # Sender path
-    # ------------------------------------------------------------------
-    def send_updates(self, src_group: int, updates: List[ScoreUpdate]) -> None:
-        """Stamp, register, and transmit; arm one ACK timer per update.
+    def _stamp(self, src: int, dst: int) -> int:
+        """Next sequence number of the (src, dst) pair."""
+        pair = (src, dst)
+        seq = self._next_seq.get(pair, 0)
+        self._next_seq[pair] = seq + 1
+        return seq
 
-        In-order (un-reordered) updates are forwarded to the inner
-        transport as one batch so the indirect transport's per-next-hop
-        packing sees exactly what a bare send would — fault-free runs
-        must produce identical packages.
-        """
-        batch: List[ScoreUpdate] = []
-        for update in updates:
-            pair = (src_group, update.dst_group)
-            seq = self._next_seq.get(pair, 0)
-            self._next_seq[pair] = seq + 1
-            update.seq = seq
-            key = (src_group, update.dst_group, seq)
-            entry = _Pending(update)
-            self._pending[key] = entry
-            self._stage(key, entry, batch)
-        if batch:
-            self.inner.send_updates(src_group, batch)
-
-    def _stage(self, key: _Key, entry: _Pending, batch: List[ScoreUpdate]) -> None:
-        """Prepare one wire attempt: chaos (reorder/duplicate) staging,
-        then either append to ``batch`` (sent by the caller in one inner
-        call) or schedule the delayed copy.  Arms the ACK timer."""
-        update = entry.update
-        # A fresh physical transmission starts its hop budget over.
-        update.hops_taken = 0
-        delay = self.chaos.reorder_delay() if self.chaos.active else 0.0
-        if delay > 0.0:
-            self.sim.schedule(delay, self._inner_send, update)
-        else:
-            batch.append(update)
-        if self.chaos.active and self.chaos.duplicate():
+    def _duplicate(self) -> bool:
+        """Chaos draw: does this wire attempt go out twice?"""
+        if self.chaos.duplicate():
             self.chaos_duplicates += 1
-            self._inner_send(update)
-        entry.timer = self.sim.schedule(
-            self.retry.delay(entry.attempts, self._rng), self._on_timeout, key
-        )
+            return True
+        return False
 
-    def _transmit(self, key: _Key, entry: _Pending) -> None:
-        """One solo wire attempt (the retransmission path)."""
-        batch: List[ScoreUpdate] = []
-        self._stage(key, entry, batch)
-        if batch:
-            self.inner.send_updates(entry.update.src_group, batch)
+    def _receive(self, src: int, dst: int, seq: int) -> Tuple[bool, bool]:
+        """Receive rule for one arriving copy: ``(fresh, ack_survives)``.
 
-    def _inner_send(self, update: ScoreUpdate) -> None:
-        self.inner.send_updates(update.src_group, [update])
-
-    def _on_timeout(self, key: _Key) -> None:
-        entry = self._pending.get(key)
-        if entry is None:  # ACKed between scheduling and firing
-            return
-        if entry.attempts >= self.retry.max_retries:
-            del self._pending[key]
-            self.gave_up += 1
-            return
-        entry.attempts += 1
-        self.retransmits += 1
-        self._transmit(key, entry)
-
-    def _on_ack(self, ack: Ack) -> None:
-        entry = self._pending.pop((ack.src_group, ack.dst_group, ack.seq), None)
-        if entry is None:
-            self.stale_acks += 1
-            return
-        if entry.timer is not None:
-            entry.timer.cancel()
-
-    # ------------------------------------------------------------------
-    # Receiver path
-    # ------------------------------------------------------------------
-    def _on_inner_deliver(self, dst_group: int, update: ScoreUpdate) -> None:
-        if self.alive is not None and not self.alive(dst_group):
+        A dead destination swallows the copy and sends no ACK.  A live
+        one delivers only the first copy of each seq, and ACKs *every*
+        copy, duplicates included: the sender may be retransmitting
+        precisely because the previous ACK was lost.  The ACK is
+        charged when sent; the chaos model may then destroy it.
+        """
+        if self.alive is not None and not self.alive(dst):
             self.dead_drops += 1
-            return
-        pair = (update.src_group, dst_group)
-        seen = self._delivered_seqs.setdefault(pair, set())
-        if update.seq in seen:
-            self.dup_drops += 1
+            return False, False
+        pair = (src, dst)
+        seen = self._delivered_seqs.get(pair)
+        if seen is None:
+            seen = self._delivered_seqs[pair] = set()
+        fresh = seq not in seen
+        if fresh:
+            seen.add(seq)
         else:
-            seen.add(update.seq)
-            self._deliver_local(update)
-        # ACK unconditionally (duplicates included): the sender may be
-        # retransmitting precisely because the previous ACK was lost.
-        self._send_ack(Ack(update.src_group, dst_group, update.seq))
-
-    def _send_ack(self, ack: Ack) -> None:
-        self.accountant.record_ack(ack.dst_group, ack.src_group, ACK_MESSAGE_BYTES)
-        if self.chaos.active and self.chaos.ack_lost():
+            self.dup_drops += 1
+        self.accountant.record_ack(dst, src, ACK_MESSAGE_BYTES)
+        if self.chaos.ack_lost():
             self.acks_lost += 1
-            return
-        delay = self.latency.hop_delay(ack.dst_group, ack.src_group)
-        self.sim.schedule(delay, self._on_ack, ack)
+            return fresh, False
+        return fresh, True
 
-    # ------------------------------------------------------------------
+    def _retry(self, attempts: int) -> bool:
+        """Retry-or-give-up rule after an unACKed attempt: True when
+        retransmission number ``attempts + 1`` is within budget."""
+        if attempts >= self.retry.max_retries:
+            self.gave_up += 1
+            return False
+        self.retransmits += 1
+        return True
+
     def window_state(self) -> Dict[Tuple[int, int], Dict[str, object]]:
         """Debug snapshot of every (src, dst) sequencing window.
 
         Maps each pair that has ever sent to ``{"next_seq": int,
         "pending": sorted unACKed seqs}``.  The hybrid engine's
-        equivalence tests use this to assert sequence continuity across
-        fast/replayed round boundaries: seq numbering must never reset
-        or skip when the engine switches execution paths mid-run.
+        equivalence tests use this to assert sequence continuity:
+        seq numbering must never reset or skip mid-run.
         """
-        state: Dict[Tuple[int, int], Dict[str, object]] = {}
-        for pair, nxt in self._next_seq.items():
-            state[pair] = {"next_seq": nxt, "pending": []}
-        for (src, dst, seq) in self._pending:
-            state.setdefault(
-                (src, dst), {"next_seq": 0, "pending": []}
-            )["pending"].append(seq)
-        for entry in state.values():
-            entry["pending"] = sorted(entry["pending"])
+        state: Dict[Tuple[int, int], Dict[str, object]] = {
+            pair: {"next_seq": nxt, "pending": []}
+            for pair, nxt in self._next_seq.items()
+        }
+        # Every pending seq was stamped first, so its pair is present.
+        for src, dst, seq in sorted(self._pending):
+            state[(src, dst)]["pending"].append(seq)
         return state
 
     def stats(self) -> Dict[str, int]:
@@ -346,6 +277,133 @@ class ReliableTransport(Transport):
             "acks_lost": self.acks_lost,
             "in_flight": self.in_flight,
         }
+
+
+class ReliableTransport(ARQRules, Transport):
+    """ACK/retry/dedup wrapper around a concrete transport.
+
+    The timer driver of :class:`ARQRules`: each wire attempt arms an
+    ACK timer on the simulator, and a timer firing before the ACK asks
+    the retry rule whether to retransmit.
+
+    Parameters
+    ----------
+    inner:
+        The transport actually moving bytes (direct or indirect).  The
+        wrapper installs itself as the inner deliver upcall; callers
+        must :meth:`attach` to the *wrapper*, never to ``inner``.
+    **rules:
+        ``retry``, ``chaos``, ``alive`` and ``seed``, as for
+        :class:`ARQRules`.  The jitter stream is only consumed when a
+        timer is armed with ``jitter > 0``.
+    """
+
+    def __init__(self, inner: Transport, **rules):
+        # ``inner`` must exist before Transport.__init__ runs: the base
+        # constructor assigns ``dropped_updates = 0``, which our property
+        # setter routes to the inner transport's counter.
+        self.inner = inner
+        Transport.__init__(
+            self,
+            inner.sim,
+            inner.overlay,
+            inner.accountant,
+            loss=inner.loss,
+            latency=inner.latency,
+        )
+        ARQRules.__init__(self, accountant=inner.accountant, **rules)
+        self.inner.attach(self._on_inner_deliver)
+
+    # ------------------------------------------------------------------
+    # Proxied diagnostics: origin loss happens inside the inner
+    # transport (once per attempt), so its counter is authoritative.
+    # ------------------------------------------------------------------
+    @property
+    def dropped_updates(self) -> int:  # type: ignore[override]
+        return self.inner.dropped_updates
+
+    @dropped_updates.setter
+    def dropped_updates(self, value: int) -> None:
+        # Transport.__init__ assigns 0; route it to the inner counter.
+        self.inner.dropped_updates = value
+
+    # ------------------------------------------------------------------
+    # Sender path
+    # ------------------------------------------------------------------
+    def send_updates(self, src_group: int, updates: List[ScoreUpdate]) -> None:
+        """Stamp, register, and transmit; arm one ACK timer per update.
+
+        In-order (un-reordered) updates are forwarded to the inner
+        transport as one batch so the indirect transport's per-next-hop
+        packing sees exactly what a bare send would — fault-free runs
+        must produce identical packages.
+        """
+        batch: List[ScoreUpdate] = []
+        for update in updates:
+            update.seq = self._stamp(src_group, update.dst_group)
+            key = (src_group, update.dst_group, update.seq)
+            entry = _Pending(update)
+            self._pending[key] = entry
+            self._stage(key, entry, batch)
+        if batch:
+            self.inner.send_updates(src_group, batch)
+
+    def _stage(self, key: _Key, entry: _Pending, batch: List[ScoreUpdate]) -> None:
+        """Prepare one wire attempt: chaos (reorder/duplicate) staging,
+        then either append to ``batch`` (sent by the caller in one inner
+        call) or schedule the delayed copy.  Arms the ACK timer."""
+        update = entry.update
+        # A fresh physical transmission starts its hop budget over.
+        update.hops_taken = 0
+        delay = self.chaos.reorder_delay()
+        if delay > 0.0:
+            self.sim.schedule(delay, self._inner_send, update)
+        else:
+            batch.append(update)
+        if self._duplicate():
+            self._inner_send(update)
+        entry.timer = self.sim.schedule(
+            self.retry.delay(entry.attempts, self._rng), self._on_timeout, key
+        )
+
+    def _inner_send(self, update: ScoreUpdate) -> None:
+        self.inner.send_updates(update.src_group, [update])
+
+    def _on_timeout(self, key: _Key) -> None:
+        entry = self._pending.get(key)
+        if entry is None:  # ACKed between scheduling and firing
+            return
+        if not self._retry(entry.attempts):
+            del self._pending[key]
+            return
+        entry.attempts += 1
+        batch: List[ScoreUpdate] = []
+        self._stage(key, entry, batch)
+        if batch:
+            self._inner_send(entry.update)
+
+    def _on_ack(self, ack: Ack) -> None:
+        entry = self._pending.pop((ack.src_group, ack.dst_group, ack.seq), None)
+        if entry is None:
+            self.stale_acks += 1
+            return
+        if entry.timer is not None:
+            entry.timer.cancel()
+
+    # ------------------------------------------------------------------
+    # Receiver path
+    # ------------------------------------------------------------------
+    def _on_inner_deliver(self, dst_group: int, update: ScoreUpdate) -> None:
+        src = update.src_group
+        fresh, ack_survives = self._receive(src, dst_group, update.seq)
+        if fresh:
+            self._deliver_local(update)
+        if ack_survives:
+            self.sim.schedule(
+                self.latency.hop_delay(dst_group, src),
+                self._on_ack,
+                Ack(src, dst_group, update.seq),
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -81,37 +81,21 @@ class Transport(abc.ABC):
 class DirectTransport(Transport):
     """Lookup-then-send end-to-end transmission.
 
-    Parameters
-    ----------
-    cache_lookups:
-        When True, a sender resolves each destination only once and
-        reuses the address afterwards — an obvious engineering
-        improvement the paper does *not* assume (its formulas charge a
-        lookup per send), kept as an ablation knob, default off.
+    Every send pays its DHT lookup, as the paper's formulas charge it.
     """
 
-    def __init__(self, *args, cache_lookups: bool = False, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.cache_lookups = bool(cache_lookups)
-        self._resolved: Dict[int, set] = defaultdict(set)
-
     def send_updates(self, src_group: int, updates: List[ScoreUpdate]) -> None:
-        """Lookup each destination (unless cached), then send end to end."""
+        """Lookup each destination, then send end to end."""
         for update in updates:
             if not self.loss.delivered(src_group, update.dst_group):
                 self.dropped_updates += 1
                 continue
             dst = update.dst_group
             delay = 0.0
-            needs_lookup = not (
-                self.cache_lookups and dst in self._resolved[src_group]
-            )
-            if needs_lookup and src_group != dst:
+            if src_group != dst:
                 hops = self.overlay.hops(src_group, dst)
                 self.accountant.record_lookup(src_group, hops, LOOKUP_MESSAGE_BYTES)
                 delay += hops * self.latency.hop_delay(src_group, dst)
-                if self.cache_lookups:
-                    self._resolved[src_group].add(dst)
             # One end-to-end data message (IP-level, a single "hop").
             # Calibrated charge (codec frame when stamped) plus the
             # parallel paper-model charge for §4.4 comparability.

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -56,6 +56,9 @@ class Overlay(abc.ABC):
         if n_nodes < 1:
             raise ValueError("overlay needs at least one node")
         self.n_nodes = int(n_nodes)
+        #: Memoised hop counts per (src, dst): membership is static, so
+        #: a route never changes once resolved.
+        self._hops: Dict[Tuple[int, int], int] = {}
 
     # -- mandatory interface -------------------------------------------
     @abc.abstractmethod
@@ -94,8 +97,11 @@ class Overlay(abc.ABC):
         return RouteResult(path=path)
 
     def hops(self, src: int, dst: int) -> int:
-        """Hop count of :meth:`route`."""
-        return self.route(src, dst).hops
+        """Hop count of :meth:`route`, resolved once per (src, dst)."""
+        hops = self._hops.get((src, dst))
+        if hops is None:
+            hops = self._hops[(src, dst)] = self.route(src, dst).hops
+        return hops
 
     def mean_neighbor_count(self) -> float:
         """Average ``g`` over all nodes (formula 4.3's neighbor count)."""

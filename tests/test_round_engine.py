@@ -4,8 +4,12 @@ The cross-engine equivalence contracts live in
 ``test_engine_equivalence.py`` and ``test_hybrid.py``; these tests pin
 the structure they rely on: a single engine class, state bounded by
 the pair universe rather than the round count, the round split
-counters, and the run loop shared with the Monte-Carlo engine.
+counters, the run loop shared with the Monte-Carlo engine, and a
+faulted engine freed as soon as its caller drops it.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -104,3 +108,53 @@ def test_mc_run_stops_at_token_exhaustion(graph):
     # The run ends at the first sample that sees an empty ensemble (the
     # one after the last round), long before max_time.
     assert result.trace.times[-1] == (result.max_outer_iterations + 1) * T
+
+
+#: Fault-plane configs whose shadows, recovery factory and transport
+#: upcall all point back into the engine.
+FREED_CONFIGS = {
+    "flat": dict(engine="flat"),
+    "pause": dict(
+        engine="hybrid", pause_faults=3, pause_horizon=30.0, pause_mean_outage=10.0
+    ),
+    "arq": dict(
+        engine="hybrid", reliable=True, delivery_prob=0.8, ack_loss_prob=0.2
+    ),
+    "crash-recovery": dict(
+        engine="hybrid",
+        crash_prob=0.3,
+        crash_after=5.0,
+        crash_horizon=10.0,
+        heartbeat_interval=2.0,
+        checkpoint_interval=5.0,
+        recovery=True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FREED_CONFIGS))
+def test_engine_is_freed_on_its_last_reference(name):
+    """No reference cycle runs through the engine: dropping the last
+    reference frees its arrays at once, without the cyclic collector."""
+    graph = google_contest_like(2000, 40, seed=11)
+    cfg = DistributedConfig(
+        n_groups=8,
+        schedule="sync",
+        algorithm="dpr2",
+        transport="direct",
+        t1=T,
+        t2=T,
+        sample_interval=T,
+        seed=5,
+        **FREED_CONFIGS[name],
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        engine = SynchronousEngine(graph, cfg)
+        engine.run(max_time=4 * T + 5.0)
+        alive = weakref.ref(engine)
+        del engine
+        assert alive() is None
+    finally:
+        gc.enable()
